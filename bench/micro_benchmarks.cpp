@@ -251,9 +251,17 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
     for (const Run& run : reports) {
       if (run.error_occurred) continue;
       rep_->CellText(run.benchmark_name());
-      rep_->CellNum(run.GetAdjustedRealTime());
-      rep_->CellNum(run.GetAdjustedCPUTime());
-      rep_->CellText(benchmark::GetTimeUnitString(run.time_unit));
+      if (run.aggregate_unit == benchmark::kPercentage) {
+        // A ratio (e.g. _cv): the console prints it as a percentage;
+        // GetAdjusted*Time would rescale it as if it were a time.
+        rep_->CellNum(100.0 * run.real_accumulated_time);
+        rep_->CellNum(100.0 * run.cpu_accumulated_time);
+        rep_->CellText("%");
+      } else {
+        rep_->CellNum(run.GetAdjustedRealTime());
+        rep_->CellNum(run.GetAdjustedCPUTime());
+        rep_->CellText(benchmark::GetTimeUnitString(run.time_unit));
+      }
       rep_->EndRowQuiet();
     }
     ConsoleReporter::ReportRuns(reports);

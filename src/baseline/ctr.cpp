@@ -57,6 +57,7 @@ RunMetrics RunCtr(const SystemConfig& cfg, const CtrOptions& opts) {
   };
 
   std::vector<Rec> batch;
+  std::vector<Time> scratch;  // one probe's partner timestamps
   for (Time t = 0; t < t_end; t += td) {
     const Time t_next = std::min<Time>(t + td, t_end);
 
@@ -102,7 +103,7 @@ RunMetrics RunCtr(const SystemConfig& cfg, const CtrOptions& opts) {
         node.stats.cpu_busy += c;
 
         auto partners = opp.ProbeSealed(rec.key, rec.ts - window,
-                                        rec.ts + window);
+                                        rec.ts + window, scratch);
         if (!partners.empty()) {
           node.stats.outputs += partners.size();
           node.sink.OnMatches(rec, partners, busy);

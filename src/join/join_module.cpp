@@ -32,17 +32,20 @@ void JoinModule::AttachMetrics(obs::MetricsRegistry* reg) {
 
 void JoinModule::SetWorkerPool(WorkerPool* pool) {
   pool_ = pool;
-  if (pool_ != nullptr && pool_->WorkerCount() > 1 && !pass_job_) {
+  const std::uint32_t k = pool_ != nullptr ? pool_->WorkerCount() : 1;
+  if (k > 1 && lanes_.size() != k) {
     // Built once: RunOnAll takes the job by reference, and a fresh lambda
     // per batch would re-allocate its capture block on every pass. The
     // per-pass parameters travel through pass_* members instead.
-    pass_job_ = [this](std::uint32_t w) {
-      RunWorker(w, pass_workers_, pass_from_, pass_budget_);
-      if (pass_gather_) {
-        lane_done_.Push(w);
-        if (w == 0) GatherLaneRefs(pass_workers_);
-      }
-    };
+    pass_job_ = [this](std::uint32_t w) { RunLane(w); };
+    lanes_.clear();
+    lanes_.resize(k);
+    for (WorkerLane& lane : lanes_) lane.staging.Resize(num_partitions_);
+    lane_of_.resize(num_partitions_);
+    for (PartitionId pid = 0; pid < num_partitions_; ++pid) {
+      lane_of_[pid] = WorkerOf(pid, k);
+      lanes_[lane_of_[pid]].pids.push_back(pid);
+    }
   }
   EnsureWorkerObs();
 }
@@ -98,70 +101,36 @@ Duration JoinModule::ProcessSerial(Time from, Duration budget) {
 }
 
 Duration JoinModule::ProcessParallel(Time from, Duration budget) {
-  const std::uint32_t k = pool_->WorkerCount();
-  if (lanes_.size() != k) lanes_.resize(k);
-  for (WorkerLane& lane : lanes_) lane.Reset();
-
-  // Route on the join thread: Ensure() mutates the store's group map, so it
-  // must be frozen before the fan-out (workers only Find()). Per-lane input
-  // keeps arrival order, hence each group's tuple subsequence is exactly the
-  // one the serial pass would process.
-  std::uint64_t idx = 0;
-  for (const Rec& rec : buffer_) {
-    Routed rt;
-    rt.rec = rec;
-    rt.pid = PartitionOf(rec.key, num_partitions_);
-    rt.idx = idx++;
-    store_.Ensure(rt.pid);
-    lanes_[WorkerOf(rt.pid, k)].input.push_back(rt);
-  }
-  buffer_.clear();
-
-  // Fan out through the pre-built pass job (no per-batch allocation). Spin
-  // pools additionally overlap the merge-ref gather with lane execution:
-  // each lane announces completion on the lock-free lane_done_ queue and
-  // worker 0 (this thread) stages finished lanes while slower ones still
-  // run, so by the time the barrier opens the refs are already gathered.
+  // Fan out through the pre-built pass job (no per-batch allocation). The
+  // lanes only read buffer_ and touch their own pids' store slots.
   pass_from_ = from;
   pass_budget_ = budget;
-  pass_workers_ = k;
-  pass_gather_ = pool_->Options().spin;
-  merge_refs_.clear();
   pool_->RunOnAll(pass_job_);
 
-  // Re-queue unprocessed leftovers in arrival order: budget exhaustion left
-  // each lane with a suffix; merging by arrival index reconstitutes the
-  // buffer exactly as the serial pass would have left its tail.
-  leftover_scratch_.clear();
+  // Re-queue the leftovers in arrival order: a lane whose budget ran out
+  // left every own tuple from its stop index on, exactly the tail the
+  // serial pass would have left for those groups.
+  std::size_t first_stop = buffer_.size();
   for (const WorkerLane& lane : lanes_) {
-    leftover_scratch_.insert(leftover_scratch_.end(),
-                             lane.input.begin() +
-                                 static_cast<std::ptrdiff_t>(lane.consumed),
-                             lane.input.end());
+    first_stop = std::min(first_stop, lane.stop);
   }
-  if (!leftover_scratch_.empty()) {
-    std::sort(leftover_scratch_.begin(), leftover_scratch_.end(),
-              [](const Routed& a, const Routed& b) { return a.idx < b.idx; });
-    for (const Routed& rt : leftover_scratch_) buffer_.push_back(rt.rec);
+  std::size_t kept = first_stop;
+  for (std::size_t i = first_stop; i < buffer_.size(); ++i) {
+    const Rec rec = buffer_[i];
+    if (i >= lanes_[lane_of_[PartitionOf(rec.key, num_partitions_)]].stop) {
+      buffer_[kept++] = rec;
+    }
   }
+  buffer_.erase(buffer_.begin() + static_cast<std::ptrdiff_t>(kept),
+                buffer_.end());
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(first_stop));
 
-  // Deterministic merge: emissions ordered by (group-id, seq). Entries of
-  // one pid all live in one lane (disjoint sharding) already in seq order,
-  // so a stable sort by pid alone realizes the full key -- and makes the
-  // merged output independent of the gather order (lane order below,
-  // completion order in GatherLaneRefs).
-  if (!pass_gather_) {
-    for (const WorkerLane& lane : lanes_) AppendLaneRefs(lane);
-  }
-  std::stable_sort(merge_refs_.begin(), merge_refs_.end(),
-                   [](const MergeRef& a, const MergeRef& b) {
-                     return a.entry->pid < b.entry->pid;
-                   });
+  // Deterministic merge: emissions ordered by (group-id, seq). Each pid's
+  // entries sit in its owning lane, already in seq order.
   std::uint64_t merged_outputs = 0;
-  for (const MergeRef& r : merge_refs_) {
-    merged_outputs += r.entry->count;
-    sink_->OnMatches(r.entry->probe, r.sink->Partners(*r.entry),
-                     r.entry->produced_at);
+  for (PartitionId pid = 0; pid < num_partitions_; ++pid) {
+    merged_outputs += lanes_[lane_of_[pid]].staging.Drain(pid, *sink_);
   }
 
   // Fold tallies and account the epoch: the slave's clock advances by the
@@ -169,7 +138,8 @@ Duration JoinModule::ProcessParallel(Time from, Duration budget) {
   // records the summed (parallel) work for utilization analysis.
   Duration critical = 0;
   std::uint64_t busy = 0;
-  for (const WorkerLane& lane : lanes_) {
+  for (WorkerLane& lane : lanes_) {
+    lane.staging.ClearArena();
     FoldStats(lane.stats);
     critical = std::max(critical, lane.used);
     busy += static_cast<std::uint64_t>(lane.used);
@@ -179,66 +149,49 @@ Duration JoinModule::ProcessParallel(Time from, Duration budget) {
   return critical + cost_.MergeCost(merged_outputs);
 }
 
-void JoinModule::RunWorker(std::uint32_t w, std::uint32_t workers, Time from,
-                           Duration budget) {
+void JoinModule::RunLane(std::uint32_t w) {
   WorkerLane& lane = lanes_[w];
-  obs::ScopedTimer wall(lane.input.empty() || w >= wall_workers_.size()
-                            ? nullptr
-                            : wall_workers_[w]);
+  obs::ScopedTimer wall(w < wall_workers_.size() ? wall_workers_[w] : nullptr);
   PassCtx& ctx = lane.stats;
+  ctx = PassCtx{};
   ctx.sink = &lane.staging;
+  const Time from = pass_from_;
   Duration used = 0;
+  // Route in place: every lane scans the whole buffer and takes its own
+  // pids' tuples, so each group's tuple subsequence is exactly the one the
+  // serial pass would process. Ensure() only writes this pid's slot.
+  const std::deque<Rec>& input = buffer_;
   std::size_t i = 0;
-  for (; i < lane.input.size() && used < budget; ++i) {
-    const Routed& rt = lane.input[i];
+  for (auto it = input.begin(); it != input.end(); ++it, ++i) {
+    const Rec& rec = *it;
+    const PartitionId pid = PartitionOf(rec.key, num_partitions_);
+    if (lane_of_[pid] != w) continue;
+    if (used >= pass_budget_) break;
     used += cost_.TupleFixedCost(1);
-    PartitionGroup& group = *store_.Find(rt.pid);
-    MiniGroup& mg = group.GroupFor(rt.rec.key);
-    mg.Part(rt.rec.stream).Insert(rt.rec);
+    PartitionGroup& group = store_.Ensure(pid);
+    MiniGroup& mg = group.GroupFor(rec.key);
+    mg.Part(rec.stream).Insert(rec);
     group.AddCount(1);
     ++ctx.processed;
-    if (mg.Part(rt.rec.stream).HeadFull()) {
-      lane.staging.SetPartition(rt.pid);
+    if (mg.Part(rec.stream).HeadFull()) {
+      lane.staging.SetPartition(pid);
       used += FlushMiniGroup(group, mg, from + used, ctx);
     }
   }
-  lane.consumed = i;
-  if (i == lane.input.size()) {
-    // This lane drained: flush partial head blocks of its shard (the serial
-    // buffer-drain rule, restricted to the groups this worker owns).
-    store_.ForEachGroup([&](PartitionId pid, PartitionGroup& group) {
-      if (WorkerOf(pid, workers) != w) return;
+  lane.stop = i;
+  if (i == input.size()) {
+    // This lane drained: flush partial head blocks of its own groups (the
+    // serial buffer-drain rule, restricted to this lane's pids -- other
+    // lanes may be creating groups in their slots right now).
+    for (PartitionId pid : lane.pids) {
+      PartitionGroup* group = store_.Find(pid);
+      if (group == nullptr) continue;
       lane.staging.SetPartition(pid);
-      used += FlushGroupPartials(group, from + used, ctx);
-    });
+      used += FlushGroupPartials(*group, from + used, ctx);
+    }
   }
   lane.used = used;
-}
-
-void JoinModule::AppendLaneRefs(const WorkerLane& lane) {
-  for (const StagingSink::Entry& e : lane.staging.Entries()) {
-    merge_refs_.push_back(MergeRef{&lane.staging, &e});
-  }
-}
-
-void JoinModule::GatherLaneRefs(std::uint32_t workers) {
-  // Runs on worker 0 (the RunOnAll caller) after its own lane finished.
-  // Every lane -- including 0 -- pushed its index onto lane_done_; popping
-  // `workers` indices therefore consumes exactly this pass's announcements.
-  // The MPSC push/pop pair is the release/acquire edge making the finished
-  // lane's staging buffers visible here before the pool barrier opens.
-  std::uint32_t gathered = 0;
-  SpinWait waiter;
-  while (gathered < workers) {
-    std::uint32_t w;
-    if (!lane_done_.TryPop(w)) {
-      waiter.Pause();
-      continue;
-    }
-    waiter.Reset();
-    AppendLaneRefs(lanes_[w]);
-    ++gathered;
-  }
+  if (ctx.processed == 0) wall.Cancel();
 }
 
 Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
@@ -261,7 +214,8 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
     c += cost_.CmpCost(cmp);
     const Time produced_at = work_start + c;
     for (const Rec& r : fresh) {
-      auto partners = opp.ProbeSealed(r.key, r.ts - window_, r.ts + window_);
+      auto partners = opp.ProbeSealed(r.key, r.ts - window_, r.ts + window_,
+                                      group.ProbeScratch());
       if (!partners.empty()) {
         ctx.outputs += partners.size();
         ctx.sink->OnMatches(r, partners, produced_at);

@@ -18,13 +18,16 @@
 //
 // Intra-slave parallelism (extension; DESIGN.md "Intra-slave multicore
 // execution"): with a WorkerPool of k > 1 attached, ProcessFor shards the
-// slave's partition-groups across workers (each group is owned by exactly
-// one worker, so the hot path takes no locks), stages each worker's match
-// emissions in order, and merges them into the sink in deterministic
-// (group-id, seq) order -- the produced output set is identical for any
-// worker count. The virtual clock advances by the critical path
-// max(worker costs) + merge cost. Without a pool (or with k == 1) the
-// original serial path runs unchanged.
+// slave's partition-groups across workers through a fixed pid -> lane table
+// (each group is owned by exactly one lane, so the hot path takes no locks).
+// Every lane scans the input buffer in place, processes the tuples of its
+// own pids in arrival order (creating their groups on first use), and
+// stages its match emissions per pid. The join thread then emits pids
+// 0 .. P-1, each from the lane that owns it, in deterministic (group-id,
+// seq) order; only this sink emission stays serial, and the produced output
+// set is identical for any worker count. The virtual clock advances by the
+// critical path max(worker costs) + merge cost. Without a pool (or with
+// k == 1) the original serial path runs unchanged.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/lockfree.h"
 #include "join/sink.h"
 #include "window/state_codec.h"
 #include "window/window_store.h"
@@ -168,101 +170,71 @@ class JoinModule {
     std::uint64_t tuning_moves = 0;
   };
 
-  /// Per-worker ordered staging of match emissions. ProbeSealed spans are
-  /// invalidated by subsequent window mutations, so partner timestamps are
+  /// Per-worker staging of match emissions, filed per partition id. The
+  /// probe scratch is reused by the next probe, so partner timestamps are
   /// copied into a reusable flat arena at emission time. Entry order within
-  /// the buffer is the worker's emission order; since every partition-group
-  /// is processed by exactly one worker, it is also each group's emission
-  /// order -- the `seq` of the (group-id, seq) merge key.
+  /// a pid is the lane's emission order for that group -- the `seq` of the
+  /// (group-id, seq) merge key, since a group belongs to exactly one lane.
   class StagingSink final : public JoinSink {
    public:
+    void Resize(std::uint32_t num_partitions) {
+      by_pid_.resize(num_partitions);
+    }
+    void SetPartition(PartitionId pid) { pid_ = pid; }
+
+    void OnMatches(const Rec& probe, std::span<const Time> partner_ts,
+                   Time produced_at) override {
+      by_pid_[pid_].push_back(
+          Entry{probe, produced_at, arena_.size(), partner_ts.size()});
+      arena_.insert(arena_.end(), partner_ts.begin(), partner_ts.end());
+    }
+
+    /// Emits `pid`'s staged entries into `sink` in staging order and drops
+    /// them. Returns the number of outputs emitted.
+    std::uint64_t Drain(PartitionId pid, JoinSink& sink) {
+      std::uint64_t outputs = 0;
+      for (const Entry& e : by_pid_[pid]) {
+        outputs += e.count;
+        sink.OnMatches(e.probe, {arena_.data() + e.offset, e.count},
+                       e.produced_at);
+      }
+      by_pid_[pid].clear();
+      return outputs;
+    }
+    /// Call once every pid has been drained.
+    void ClearArena() { arena_.clear(); }
+
+   private:
     struct Entry {
       Rec probe;
-      PartitionId pid = 0;
       Time produced_at = 0;
       std::size_t offset = 0;  ///< into arena_
       std::size_t count = 0;
     };
 
-    void SetPartition(PartitionId pid) { pid_ = pid; }
-
-    void OnMatches(const Rec& probe, std::span<const Time> partner_ts,
-                   Time produced_at) override {
-      Entry e;
-      e.probe = probe;
-      e.pid = pid_;
-      e.produced_at = produced_at;
-      e.offset = arena_.size();
-      e.count = partner_ts.size();
-      arena_.insert(arena_.end(), partner_ts.begin(), partner_ts.end());
-      entries_.push_back(e);
-    }
-
-    const std::vector<Entry>& Entries() const { return entries_; }
-    std::span<const Time> Partners(const Entry& e) const {
-      return std::span<const Time>(arena_.data() + e.offset, e.count);
-    }
-    void Reset() {
-      entries_.clear();
-      arena_.clear();
-    }
-
-   private:
     PartitionId pid_ = 0;
-    std::vector<Entry> entries_;
+    std::vector<std::vector<Entry>> by_pid_;
     std::vector<Time> arena_;
   };
 
-  /// One tuple routed to a worker lane. `idx` is the arrival index within
-  /// this pass, used to restore arrival order for unprocessed leftovers.
-  struct Routed {
-    Rec rec;
-    PartitionId pid = 0;
-    std::uint64_t idx = 0;
-  };
-
-  /// Per-worker run queue plus everything the worker mutates during a pass.
+  /// One worker's share of the parallel pass and everything it mutates.
   struct WorkerLane {
-    std::vector<Routed> input;
+    std::vector<PartitionId> pids;  ///< owned partitions, ascending
     StagingSink staging;
     PassCtx stats;
     Duration used = 0;
-    std::size_t consumed = 0;
-
-    void Reset() {
-      input.clear();
-      staging.Reset();
-      stats = PassCtx{};
-      used = 0;
-      consumed = 0;
-    }
+    std::size_t stop = 0;  ///< buffer index of its first unprocessed tuple
   };
 
   /// The original single-threaded pass (bit-identical to the pre-pool code).
   Duration ProcessSerial(Time from, Duration budget);
 
-  /// The pooled pass: route, fan out, merge (see file comment).
+  /// The pooled pass: lanes route and join, then the per-pid merge (see
+  /// file comment).
   Duration ProcessParallel(Time from, Duration budget);
 
-  /// Body of one worker of the parallel pass.
-  void RunWorker(std::uint32_t w, std::uint32_t workers, Time from,
-                 Duration budget);
-
-  /// A staged emission awaiting the deterministic merge.
-  struct MergeRef {
-    const StagingSink* sink;
-    const StagingSink::Entry* entry;
-  };
-
-  /// Appends every staged entry of `lane` to merge_refs_.
-  void AppendLaneRefs(const WorkerLane& lane);
-
-  /// Worker 0's overlap gather (spin pools): pops lane indices off
-  /// lane_done_ as lanes finish and stages their refs while slower lanes
-  /// are still joining. Gather order is completion order, but entries of
-  /// one pid all live in one lane, so the stable sort by pid in
-  /// ProcessParallel makes the merged output independent of it.
-  void GatherLaneRefs(std::uint32_t workers);
+  /// Body of lane `w` of the parallel pass.
+  void RunLane(std::uint32_t w);
 
   /// Runs the batch join pass on one mini-group (probe fresh of each stream
   /// against the opposite sealed records, seal, expire, re-tune). Returns the
@@ -322,7 +294,7 @@ class JoinModule {
 
   WorkerPool* pool_ = nullptr;
   std::vector<WorkerLane> lanes_;
-  std::vector<Routed> leftover_scratch_;
+  std::vector<std::uint32_t> lane_of_;  ///< pid -> owning lane (WorkerOf)
 
   // Parallel-pass plumbing, hoisted out of the per-batch hot path: the pass
   // job closure is built once in SetWorkerPool (RunOnAll takes it by
@@ -333,10 +305,6 @@ class JoinModule {
   std::function<void(std::uint32_t)> pass_job_;
   Time pass_from_ = 0;
   Duration pass_budget_ = 0;
-  std::uint32_t pass_workers_ = 0;
-  bool pass_gather_ = false;  ///< lock-free overlap gather this pass?
-  MpscQueue<std::uint32_t> lane_done_;  ///< lanes announce completion
-  std::vector<MergeRef> merge_refs_;    ///< reused merge staging
 
   std::uint64_t worker_busy_us_ = 0;
   obs::Counter* c_worker_busy_ = nullptr;

@@ -48,8 +48,8 @@ std::size_t MultiwayJoinModule::Process(const Rec& rec, Time now) {
   for (std::size_t k = 0; k < n; ++k) {
     if (k == rec.stream) continue;
     comparisons_ += parts_[k]->SealedCount();
-    probe_scratch_[k] =
-        parts_[k]->ProbeSealed(rec.key, rec.ts - windows_[k], rec.ts);
+    parts_[k]->ProbeSealed(rec.key, rec.ts - windows_[k], rec.ts,
+                           probe_scratch_[k]);
     if (probe_scratch_[k].empty()) any_empty = true;
   }
 

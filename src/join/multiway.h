@@ -92,7 +92,9 @@ class MultiwayJoinModule {
   std::uint64_t comparisons_ = 0;
   std::uint64_t composites_ = 0;
   Time latest_ts_ = 0;
-  std::vector<std::span<const Time>> probe_scratch_;
+  /// One ProbeSealed scratch per stream: a probe holds every other
+  /// stream's matches at once while it enumerates their cross product.
+  std::vector<std::vector<Time>> probe_scratch_;
 };
 
 /// Ground truth for tests: all composites of the declarative n-way window

@@ -66,6 +66,8 @@ class ScopedTimer {
                     : std::chrono::steady_clock::time_point{}) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
+  /// Drops the sample (the timed scope turned out to do no work).
+  void Cancel() { hist_ = nullptr; }
   ~ScopedTimer() {
     if (hist_ == nullptr) return;
     const auto us = std::chrono::duration<double, std::micro>(

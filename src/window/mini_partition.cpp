@@ -1,18 +1,23 @@
 #include "window/mini_partition.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
+#include "common/rng.h"
+
 namespace sjoin {
+
+namespace {
+
+/// Smallest ring / table allocated at the first seal.
+constexpr std::size_t kMinIndexSize = 16;
+
+}  // namespace
 
 MiniPartition::MiniPartition(std::size_t block_capacity)
     : block_capacity_(block_capacity) {
   assert(block_capacity > 0);
-  // Pre-size the per-key index for one block's worth of distinct keys: the
-  // common case (a freshly split / freshly created mini-partition) fills at
-  // least a head block before tuning reshapes it, and reserving here avoids
-  // the rehash cascade on every such group's first batch.
-  index_.reserve(block_capacity);
 }
 
 Block& MiniPartition::HeadBlock() {
@@ -24,6 +29,7 @@ Block& MiniPartition::HeadBlock() {
 
 void MiniPartition::Insert(const Rec& rec) {
   assert(rec.ts >= max_seen_ts_);
+  assert(!HeadFull() && "seal a full head before inserting more");
   HeadBlock().Append(rec);
   ++total_count_;
   max_seen_ts_ = rec.ts;
@@ -46,83 +52,129 @@ std::size_t MiniPartition::FreshCount() const {
 void MiniPartition::Seal() {
   if (blocks_.empty()) return;
   Block& head = blocks_.back();
-  for (const Rec& rec : head.FreshRecords()) {
-    IndexRecord(rec);
-  }
-  sealed_count_ += head.FreshCount();
+  const std::span<const Rec> fresh = head.FreshRecords();
+  if (fresh.empty()) return;
+  ReserveLinks(fresh.size());
+  for (const Rec& rec : fresh) IndexRecord(rec);
   head.MarkJoined();
 }
 
+std::size_t MiniPartition::FindSlot(std::uint64_t key) const {
+  // Decorrelated from PartitionOf and PartitionGroup::TuneHash: every key
+  // here shares their low bits, which would cluster a table indexed by them.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>(Mix64(key ^ 0x8CB92BA72F3D8DD7ULL)) & mask;
+  while (slots_[i].top != 0 && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
 void MiniPartition::IndexRecord(const Rec& rec) {
-  KeyQueue& q = index_[rec.key];
-  assert(q.ts.empty() || q.ts.back() <= rec.ts);
-  q.ts.push_back(rec.ts);
+  if (slots_.empty()) RebuildTable(1);
+  std::size_t i = FindSlot(rec.key);
+  if (slots_[i].top == 0) {
+    // A new key claims an empty slot; rebuild first at 3/4 load.
+    if ((used_slots_ + 1) * 4 > slots_.size() * 3) {
+      RebuildTable(1);
+      i = FindSlot(rec.key);
+    }
+    slots_[i].key = rec.key;
+    ++used_slots_;
+  }
+  // A dead key's stale `top` is harmless as `prev`: chains stop below
+  // base_seq_, and base_seq_ only grows.
+  const std::uint64_t seq = next_seq_++;
+  Slot& slot = slots_[i];
+  links_[seq & (links_.size() - 1)] = Link{rec.ts, slot.top};
+  slot.top = seq + 1;
+}
+
+void MiniPartition::ReserveLinks(std::size_t n) {
+  const std::size_t need = SealedCount() + n;
+  if (need > links_.size()) {
+    ResizeLinks(std::bit_ceil(std::max(need, kMinIndexSize)));
+  }
+}
+
+void MiniPartition::ResizeLinks(std::size_t capacity) {
+  std::vector<Link> next(capacity);
+  if (!links_.empty()) {
+    const std::size_t old_mask = links_.size() - 1;
+    for (std::uint64_t s = base_seq_; s < next_seq_; ++s) {
+      next[s & (capacity - 1)] = links_[s & old_mask];
+    }
+  }
+  links_.swap(next);
+}
+
+void MiniPartition::RebuildTable(std::size_t extra) {
+  const std::size_t live = IndexKeyCount();
+  std::vector<Slot> old(
+      std::bit_ceil(std::max((live + extra) * 2, kMinIndexSize)));
+  old.swap(slots_);
+  for (const Slot& s : old) {
+    if (s.top > base_seq_) slots_[FindSlot(s.key)] = s;  // skip empty, dead
+  }
+  used_slots_ = live;
 }
 
 std::span<const Time> MiniPartition::ProbeSealed(std::uint64_t key,
-                                                 Time min_ts,
-                                                 Time max_ts) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return {};
-  const KeyQueue& q = it->second;
-  auto begin = q.ts.begin() + static_cast<std::ptrdiff_t>(q.head);
-  auto lo = std::lower_bound(begin, q.ts.end(), min_ts);
-  auto hi = std::upper_bound(lo, q.ts.end(), max_ts);
-  auto n = static_cast<std::size_t>(hi - lo);
-  if (n == 0) return {};
-  return std::span<const Time>(&*lo, n);
+                                                 Time min_ts, Time max_ts,
+                                                 std::vector<Time>& out) const {
+  out.clear();
+  if (slots_.empty()) return out;
+  const std::size_t i = FindSlot(key);
+  // Newest to oldest: timestamps fall along the chain, so the walk stops at
+  // the window's lower edge or at the first expired seq.
+  const std::size_t link_mask = links_.size() - 1;
+  for (std::uint64_t top = slots_[i].top; top > base_seq_;) {
+    const Link& l = links_[(top - 1) & link_mask];
+    if (l.ts < min_ts) break;
+    if (l.ts <= max_ts) out.push_back(l.ts);
+    top = l.prev;
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+std::size_t MiniPartition::IndexKeyCount() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [&](const Slot& s) { return s.top > base_seq_; }));
 }
 
 std::vector<Block> MiniPartition::ExpireBlocks(Time low_ts) {
   std::vector<Block> expired;
   // The head block never expires: it is the insertion point and its fresh
-  // records have not probed yet.
+  // records have not probed yet. Every other block is full and sealed, so
+  // its records are the oldest live seqs.
   while (blocks_.size() > 1 && blocks_.front().MaxTs() < low_ts) {
     Block& b = blocks_.front();
-    for (const Rec& rec : b.Records()) {
-      auto it = index_.find(rec.key);
-      assert(it != index_.end());
-      KeyQueue& q = it->second;
-      assert(q.head < q.ts.size() && q.ts[q.head] == rec.ts);
-      ++q.head;
-      if (q.head == q.ts.size()) {
-        index_.erase(it);
-      } else if (q.head > 64 && q.head * 2 > q.ts.size()) {
-        // Compact the dead prefix once it dominates the vector.
-        q.ts.erase(q.ts.begin(), q.ts.begin() + static_cast<std::ptrdiff_t>(q.head));
-        q.head = 0;
-      }
-    }
-    sealed_count_ -= b.Size();
+    base_seq_ += b.Size();
     total_count_ -= b.Size();
     expired.push_back(std::move(b));
     blocks_.pop_front();
   }
-  if (!expired.empty()) MaybeShrinkIndex();
-  return expired;
-}
-
-void MiniPartition::MaybeShrinkIndex() {
-  // Dead keys are erased eagerly above, but the hash table keeps its bucket
-  // array: after a burst expires, a partition can hold a huge empty table
-  // forever. Rehash down once live keys occupy < 1/8 of the buckets (with a
-  // floor so steady-state partitions never churn). libstdc++'s rehash(n)
-  // shrinks to the smallest prime bucket count satisfying n and the load
-  // factor; node pointers are stable, so outstanding ProbeSealed spans
-  // (which point into KeyQueue vectors) stay valid.
-  const std::size_t buckets = index_.bucket_count();
-  if (buckets > 1024 && index_.size() * 8 < buckets) {
-    index_.rehash(std::max(block_capacity_, index_.size() * 2));
+  // Shrink each array once live records fall below 1/8 of it (live keys
+  // never outnumber live records), so a burst does not pin its memory.
+  const std::size_t live = SealedCount();
+  if (links_.size() > kMinIndexSize && live * 8 < links_.size()) {
+    ResizeLinks(std::bit_ceil(std::max(live * 2, kMinIndexSize)));
   }
+  if (slots_.size() > kMinIndexSize && live * 8 < slots_.size()) {
+    RebuildTable(0);
+  }
+  return expired;
 }
 
 void MiniPartition::InstallSealed(const Rec& rec) {
   assert(rec.ts >= max_seen_ts_);
+  assert(FreshCount() == 0 && "installing would seal fresh records unindexed");
   Block& head = HeadBlock();
   head.Append(rec);
   head.MarkJoined();
+  ReserveLinks(1);
   IndexRecord(rec);
-  ++sealed_count_;
   ++total_count_;
   max_seen_ts_ = rec.ts;
 }

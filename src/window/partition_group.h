@@ -125,8 +125,9 @@ class PartitionGroup {
   // disjoint state: each partition-group is processed by exactly one worker
   // per batch pass (see JoinModule), so none of this needs locking.
 
-  /// Reusable probe scratch of the expiry completeness join (timestamps of
-  /// one probe's matches). Cleared per probe, capacity retained.
+  /// Reusable probe scratch: the timestamps of one probe's matches, for
+  /// MiniPartition::ProbeSealed and the expiry completeness join. Cleared
+  /// per probe, capacity retained.
   std::vector<Time>& ProbeScratch() { return probe_scratch_; }
 
   /// Checkpoint journal: every record sealed into this group since the last

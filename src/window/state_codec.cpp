@@ -62,7 +62,15 @@ std::unique_ptr<PartitionGroup> DecodeGroupState(Reader& r,
     group->ForceBucketDepth(h.pattern, h.depth);
   }
   for (const auto& recs : recs_per_bucket) {
-    for (const Rec& rec : recs) group->InstallSealed(rec);
+    for (const Rec& rec : recs) {
+      // Each mini-partition holds its records in temporal order; a record
+      // older than its destination's newest can only come from a corrupted
+      // frame.
+      if (rec.ts < group->GroupFor(rec.key).Part(rec.stream).MaxSeenTs()) {
+        throw DecodeError("group state records out of temporal order");
+      }
+      group->InstallSealed(rec);
+    }
   }
   return group;
 }

@@ -18,7 +18,8 @@ namespace sjoin {
 /// group must be flushed (no fresh records) before encoding.
 void EncodeGroupState(Writer& w, const PartitionGroup& group);
 
-/// Rebuilds a group from its encoded state.
+/// Rebuilds a group from its encoded state. Throws DecodeError on a
+/// truncated frame or on records out of temporal order.
 std::unique_ptr<PartitionGroup> DecodeGroupState(Reader& r,
                                                  const JoinConfig& cfg,
                                                  std::size_t tuple_bytes);

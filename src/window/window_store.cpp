@@ -1,10 +1,13 @@
 #include "window/window_store.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace sjoin {
 
 PartitionGroup& WindowStore::Ensure(PartitionId pid) {
+  assert(pid < groups_.size());
   auto& slot = groups_[pid];
   if (!slot) {
     slot = std::make_unique<PartitionGroup>(cfg_, tuple_bytes_);
@@ -14,26 +17,26 @@ PartitionGroup& WindowStore::Ensure(PartitionId pid) {
 }
 
 PartitionGroup* WindowStore::Find(PartitionId pid) {
-  auto it = groups_.find(pid);
-  return it == groups_.end() ? nullptr : it->second.get();
+  return pid < groups_.size() ? groups_[pid].get() : nullptr;
 }
 
 const PartitionGroup* WindowStore::Find(PartitionId pid) const {
-  auto it = groups_.find(pid);
-  return it == groups_.end() ? nullptr : it->second.get();
+  return pid < groups_.size() ? groups_[pid].get() : nullptr;
 }
 
 std::unique_ptr<PartitionGroup> WindowStore::Take(PartitionId pid) {
-  auto it = groups_.find(pid);
-  assert(it != groups_.end());
-  auto group = std::move(it->second);
-  groups_.erase(it);
-  return group;
+  assert(Find(pid) != nullptr);
+  return std::move(groups_[pid]);
 }
 
 void WindowStore::Install(PartitionId pid,
                           std::unique_ptr<PartitionGroup> group) {
-  assert(groups_.find(pid) == groups_.end());
+  // Installed pids arrive in migration and failover frames.
+  if (pid >= groups_.size()) {
+    throw std::out_of_range("WindowStore::Install: partition id " +
+                            std::to_string(pid) + " out of range");
+  }
+  assert(!groups_[pid]);
   group->AttachCounters(obs_splits_, obs_merges_);
   groups_[pid] = std::move(group);
 }
@@ -41,19 +44,30 @@ void WindowStore::Install(PartitionId pid,
 void WindowStore::SetGroupCounters(obs::Counter* splits, obs::Counter* merges) {
   obs_splits_ = splits;
   obs_merges_ = merges;
-  for (auto& [pid, group] : groups_) group->AttachCounters(splits, merges);
+  ForEachGroup([&](PartitionId, PartitionGroup& group) {
+    group.AttachCounters(splits, merges);
+  });
+}
+
+std::size_t WindowStore::GroupCount() const {
+  std::size_t n = 0;
+  ForEachGroup([&](PartitionId, const PartitionGroup&) { ++n; });
+  return n;
 }
 
 std::vector<PartitionId> WindowStore::OwnedPartitions() const {
   std::vector<PartitionId> out;
-  out.reserve(groups_.size());
-  for (const auto& [pid, _] : groups_) out.push_back(pid);
+  ForEachGroup([&](PartitionId pid, const PartitionGroup&) {
+    out.push_back(pid);
+  });
   return out;
 }
 
 std::size_t WindowStore::TotalCount() const {
   std::size_t n = 0;
-  for (const auto& [_, group] : groups_) n += group->TotalCount();
+  ForEachGroup([&](PartitionId, const PartitionGroup& group) {
+    n += group.TotalCount();
+  });
   return n;
 }
 

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -220,9 +222,10 @@ TEST(WorkerPoolJoinTest, ParallelPassMatchesSerialExactly) {
 }
 
 TEST(WorkerPoolJoinTest, SpinPoolPassMatchesSerialExactly) {
-  // The spin pool routes the lane->merge handoff through the lock-free
-  // lane_done_ queue (completion-order gather); the output, counters, and
-  // virtual cost must still be byte-identical to the serial pass.
+  // The spin pool swaps only the barrier (a sense-reversing spin instead of
+  // condvar sleep/wake) around the same lanes and per-pid merge; the output,
+  // counters, and virtual cost must still be byte-identical to the serial
+  // pass.
   const std::vector<Rec> recs = MakeRecs(3000, 11);
   const PassResult serial = RunPass(recs, 1);
   for (std::uint32_t workers : {2u, 4u}) {
@@ -235,6 +238,80 @@ TEST(WorkerPoolJoinTest, SpinPoolPassMatchesSerialExactly) {
     // Against the condvar pool the *entire* result including the virtual
     // cost must match: the barrier flavor is invisible to the cost model.
     EXPECT_EQ(spin.cost, condvar.cost) << "workers=" << workers;
+  }
+}
+
+TEST(WorkerPoolJoinTest, BindingBudgetRequeuesLeftoversExactly) {
+  // A budget of a few tuples per lane binds several times per batch, so
+  // every call leaves leftovers the module must re-queue in arrival order.
+  // Each batch is drained before the next arrives: every group's flushes
+  // then fall on the same tuples whatever the budget or worker count, so
+  // once drained the join must equal the serial run's exactly. The first
+  // batch touches every partition, so the lanes create every group
+  // themselves inside a bounded pass (first-touch creation runs under TSan
+  // in CI).
+  const std::vector<Rec> recs = MakeRecs(3000, 11);
+  const SystemConfig base = PoolCfg();
+  const Duration budget = 4 * base.cost.TupleFixedCost(1);
+  const std::size_t first_batch = 600;
+  std::set<PartitionId> first_pids;
+  std::set<PartitionId> all_pids;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const PartitionId pid = PartitionOf(recs[i].key, base.join.num_partitions);
+    if (i < first_batch) first_pids.insert(pid);
+    all_pids.insert(pid);
+  }
+  ASSERT_EQ(first_pids, all_pids);
+
+  auto run = [&](std::uint32_t workers, bool spin) {
+    SystemConfig cfg = base;
+    cfg.slave.workers = workers;
+    CollectSink sink;
+    JoinModule jm(cfg, &sink);
+    WorkerPool pool(workers, WorkerPoolOptions{spin, /*pin=*/false});
+    jm.SetWorkerPool(&pool);
+    std::size_t enqueued = 0;
+    std::size_t batches = 0;
+    std::size_t calls = 0;
+    Time now = 0;
+    while (enqueued < recs.size()) {
+      const std::size_t n =
+          std::min(batches == 0 ? first_batch : std::size_t{100},
+                   recs.size() - enqueued);
+      jm.EnqueueBatch(std::span<const Rec>(recs.data() + enqueued, n));
+      enqueued += n;
+      ++batches;
+      while (jm.BufferedTuples() > 0) {
+        now += jm.ProcessFor(now, budget);
+        ++calls;
+        EXPECT_EQ(jm.TuplesProcessed() + jm.BufferedTuples(), enqueued);
+      }
+      if (batches == 1) {
+        EXPECT_EQ(jm.Store().GroupCount(), all_pids.size());
+      }
+    }
+    EXPECT_GE(calls, 3 * batches);  // the budget really binds
+    PassResult res;
+    res.pairs = SortedPairs(sink);
+    res.outputs = jm.Outputs();
+    res.comparisons = jm.Comparisons();
+    res.processed = jm.TuplesProcessed();
+    return res;
+  };
+
+  const PassResult serial = run(1, false);
+  ASSERT_GT(serial.pairs.size(), 100u);
+  ASSERT_EQ(serial.pairs, RunPass(recs, 1).pairs);  // budget-independent
+  for (std::uint32_t workers : {2u, 4u, 8u}) {
+    for (bool spin : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " spin=" + std::to_string(spin));
+      const PassResult par = run(workers, spin);
+      EXPECT_EQ(par.pairs, serial.pairs);
+      EXPECT_EQ(par.outputs, serial.outputs);
+      EXPECT_EQ(par.comparisons, serial.comparisons);
+      EXPECT_EQ(par.processed, serial.processed);
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -342,6 +343,11 @@ struct RacingCrashCase {
   SlaveIdx slave;      // its subject
   Rank crash_rank;     // who the fault schedule kills
 };
+
+// Each ctest name carries the printed parameter; gtest's default byte dump
+// of this struct would show the tag pointer and padding, which differ on
+// every build (ASLR), so print the tag instead.
+void PrintTo(const RacingCrashCase& c, std::ostream* os) { *os << c.tag; }
 
 class MembershipRacingCrashTest
     : public ::testing::TestWithParam<RacingCrashCase> {};

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "join/reference_join.h"
 
@@ -201,6 +204,22 @@ TEST(JoinModuleTest, ExtractInstallPreservesOutputs) {
   got.insert(got.end(), got_b.begin(), got_b.end());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expect);
+}
+
+TEST(JoinModuleTest, InstallRejectsPartitionOutOfRange) {
+  // Migrated pids arrive in frames; the store has one slot per partition
+  // and must refuse a pid past them instead of writing out of bounds.
+  SystemConfig cfg = SmallCfg();
+  CollectSink sink;
+  JoinModule jm(cfg, &sink);
+  EXPECT_THROW(jm.InstallGroup(cfg.join.num_partitions,
+                               std::make_unique<PartitionGroup>(cfg.join, 32)),
+               std::out_of_range);
+  jm.InstallGroup(cfg.join.num_partitions - 1,
+                  std::make_unique<PartitionGroup>(cfg.join, 32));
+  EXPECT_EQ(jm.Store().OwnedPartitions(),
+            std::vector<PartitionId>{cfg.join.num_partitions - 1});
+  EXPECT_EQ(jm.Store().Find(cfg.join.num_partitions), nullptr);
 }
 
 TEST(JoinModuleTest, FineTuningReducesComparisonsOnLargeWindows) {

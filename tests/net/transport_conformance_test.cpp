@@ -14,7 +14,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <thread>
@@ -100,14 +100,38 @@ class FaultWorld final : public World {
   std::vector<std::unique_ptr<FaultEndpoint>> eps_;
 };
 
+enum class Backend : std::uint64_t {
+  kInProcMutex,
+  kInProcLockFree,
+  kSocket,
+  kFaultOverInProc,
+};
+
+std::unique_ptr<World> MakeWorld(Backend backend) {
+  switch (backend) {
+    case Backend::kInProcMutex:
+      return std::make_unique<InProcWorld>(MailboxMode::kMutex);
+    case Backend::kInProcLockFree:
+      return std::make_unique<InProcWorld>(MailboxMode::kLockFree);
+    case Backend::kSocket:
+      return std::make_unique<SocketWorld>();
+    case Backend::kFaultOverInProc:
+      return std::make_unique<FaultWorld>();
+  }
+  return nullptr;
+}
+
+/// Pointer-free, like bnl_equivalence_test's Workload: each ctest name
+/// carries gtest's byte dump of the parameter, and a pointer in it would
+/// give the same case a different name on every build (ASLR).
 struct BackendParam {
-  const char* name;
-  std::function<std::unique_ptr<World>()> make;
+  Backend backend;
+  char name[32];
 };
 
 class TransportConformanceTest : public ::testing::TestWithParam<BackendParam> {
  protected:
-  std::unique_ptr<World> world_ = GetParam().make();
+  std::unique_ptr<World> world_ = MakeWorld(GetParam().backend);
 
   /// Lets in-flight sends become visible (socket frames need to land in the
   /// receiver's kernel buffer before a non-blocking poll can see them).
@@ -197,20 +221,10 @@ TEST_P(TransportConformanceTest, ClosedOnlyAfterDrain) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, TransportConformanceTest,
-    ::testing::Values(
-        BackendParam{"InProcMutex",
-                     [] {
-                       return std::unique_ptr<World>(
-                           new InProcWorld(MailboxMode::kMutex));
-                     }},
-        BackendParam{"InProcLockFree",
-                     [] {
-                       return std::unique_ptr<World>(
-                           new InProcWorld(MailboxMode::kLockFree));
-                     }},
-        BackendParam{"Socket", [] { return std::unique_ptr<World>(new SocketWorld()); }},
-        BackendParam{"FaultOverInProc",
-                     [] { return std::unique_ptr<World>(new FaultWorld()); }}),
+    ::testing::Values(BackendParam{Backend::kInProcMutex, "InProcMutex"},
+                      BackendParam{Backend::kInProcLockFree, "InProcLockFree"},
+                      BackendParam{Backend::kSocket, "Socket"},
+                      BackendParam{Backend::kFaultOverInProc, "FaultOverInProc"}),
     [](const ::testing::TestParamInfo<BackendParam>& param_info) {
       return param_info.param.name;
     });

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
+#include "testutil/fuzz_env.h"
+
 namespace sjoin {
 namespace {
 
@@ -10,18 +18,19 @@ constexpr sjoin::Time kFarFuture = 9'000'000'000'000;
 Rec R(Time ts, std::uint64_t key, StreamId s = 0) { return Rec{ts, key, s}; }
 
 TEST(MiniPartitionTest, InsertedRecordsAreFreshUntilSealed) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
   p.Insert(R(1, 10));
   p.Insert(R(2, 10));
   EXPECT_EQ(p.FreshCount(), 2u);
   EXPECT_EQ(p.SealedCount(), 0u);
   // Fresh records are invisible to probes (duplicate-elimination rule).
-  EXPECT_TRUE(p.ProbeSealed(10, 0, kFarFuture).empty());
+  EXPECT_TRUE(p.ProbeSealed(10, 0, kFarFuture, scratch).empty());
 
   p.Seal();
   EXPECT_EQ(p.FreshCount(), 0u);
   EXPECT_EQ(p.SealedCount(), 2u);
-  EXPECT_EQ(p.ProbeSealed(10, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(10, 0, kFarFuture, scratch).size(), 2u);
 }
 
 TEST(MiniPartitionTest, HeadFullOnlyWithFreshContent) {
@@ -35,31 +44,34 @@ TEST(MiniPartitionTest, HeadFullOnlyWithFreshContent) {
 }
 
 TEST(MiniPartitionTest, ProbeFiltersByKeyAndWindow) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(8);
   p.Insert(R(100, 7));
   p.Insert(R(200, 7));
   p.Insert(R(300, 9));
   p.Seal();
   // Probe for key 7 within the window starting at ts >= 150.
-  auto m = p.ProbeSealed(7, 150, kFarFuture);
+  auto m = p.ProbeSealed(7, 150, kFarFuture, scratch);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0], 200);
   // min_ts below everything returns both.
-  EXPECT_EQ(p.ProbeSealed(7, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(7, 0, kFarFuture, scratch).size(), 2u);
   // Unknown key.
-  EXPECT_TRUE(p.ProbeSealed(1234, 0, kFarFuture).empty());
+  EXPECT_TRUE(p.ProbeSealed(1234, 0, kFarFuture, scratch).empty());
 }
 
 TEST(MiniPartitionTest, ProbeSpanIsAscendingTimestamps) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(8);
   for (Time t = 1; t <= 5; ++t) p.Insert(R(t * 10, 3));
   p.Seal();
-  auto m = p.ProbeSealed(3, 0, kFarFuture);
+  auto m = p.ProbeSealed(3, 0, kFarFuture, scratch);
   ASSERT_EQ(m.size(), 5u);
   for (std::size_t i = 1; i < m.size(); ++i) EXPECT_GT(m[i], m[i - 1]);
 }
 
 TEST(MiniPartitionTest, ExpireRemovesWholeOldBlocks) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(2);  // tiny blocks
   p.Insert(R(1, 1));
   p.Insert(R(2, 1));
@@ -76,7 +88,7 @@ TEST(MiniPartitionTest, ExpireRemovesWholeOldBlocks) {
   EXPECT_EQ(p.TotalCount(), 3u);
   EXPECT_EQ(p.SealedCount(), 2u);
   // Expired records are no longer probe-visible.
-  EXPECT_EQ(p.ProbeSealed(1, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(1, 0, kFarFuture, scratch).size(), 2u);
 }
 
 TEST(MiniPartitionTest, HeadBlockNeverExpires) {
@@ -102,6 +114,7 @@ TEST(MiniPartitionTest, BlockExpiresOnlyWhenNewestRecordIsOld) {
 }
 
 TEST(MiniPartitionTest, ExpiryKeepsIndexConsistentAcrossManyBlocks) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
   for (Time t = 1; t <= 100; ++t) {
     p.Insert(R(t, static_cast<std::uint64_t>(t % 3)));
@@ -110,30 +123,32 @@ TEST(MiniPartitionTest, ExpiryKeepsIndexConsistentAcrossManyBlocks) {
   (void)p.ExpireBlocks(50);
   // Remaining probe-visible timestamps must all be >= 49 (block granular).
   for (std::uint64_t k = 0; k < 3; ++k) {
-    for (Time ts : p.ProbeSealed(k, 0, kFarFuture)) EXPECT_GE(ts, 45);
+    for (Time ts : p.ProbeSealed(k, 0, kFarFuture, scratch)) EXPECT_GE(ts, 45);
   }
   // And probing with a min_ts still works.
-  auto m = p.ProbeSealed(0, 90, kFarFuture);
+  auto m = p.ProbeSealed(0, 90, kFarFuture, scratch);
   for (Time ts : m) EXPECT_GE(ts, 90);
 }
 
 TEST(MiniPartitionTest, InstallSealedIsImmediatelyVisible) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
   p.InstallSealed(R(5, 42));
   p.InstallSealed(R(6, 42));
   EXPECT_EQ(p.FreshCount(), 0u);
   EXPECT_EQ(p.SealedCount(), 2u);
-  EXPECT_EQ(p.ProbeSealed(42, 0, kFarFuture).size(), 2u);
+  EXPECT_EQ(p.ProbeSealed(42, 0, kFarFuture, scratch).size(), 2u);
 }
 
 TEST(MiniPartitionTest, MixedInstallAndInsertKeepTemporalOrder) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
   p.InstallSealed(R(5, 1));
   p.Insert(R(7, 1));
   EXPECT_EQ(p.FreshCount(), 1u);
   EXPECT_EQ(p.SealedCount(), 1u);
   p.Seal();
-  auto m = p.ProbeSealed(1, 0, kFarFuture);
+  auto m = p.ProbeSealed(1, 0, kFarFuture, scratch);
   ASSERT_EQ(m.size(), 2u);
   EXPECT_EQ(m[0], 5);
   EXPECT_EQ(m[1], 7);
@@ -156,19 +171,22 @@ TEST(MiniPartitionTest, ForEachRecordVisitsInTemporalOrder) {
 }
 
 TEST(MiniPartitionTest, IndexCompactionUnderLongExpiryStream) {
-  // Exercise the dead-prefix compaction path (> 64 expired per key).
+  std::vector<Time> scratch;  // ProbeSealed output
+  // One key with steady expiry: its chain must end at the oldest live
+  // record while the link ring wraps many times.
   MiniPartition p(4);
   for (Time t = 1; t <= 2000; ++t) {
     p.Insert(R(t, 0));
     p.Seal();
     (void)p.ExpireBlocks(t - 100);
   }
-  auto m = p.ProbeSealed(0, 0, kFarFuture);
+  auto m = p.ProbeSealed(0, 0, kFarFuture, scratch);
   EXPECT_GE(m.size(), 90u);
   EXPECT_LE(m.size(), 110u);
 }
 
 TEST(MiniPartitionTest, IndexTracksLiveKeysAcrossSealAndExpire) {
+  std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
   // 64 distinct keys, sealed as each block fills (the join module's
   // HeadFull rule): every sealed key must be indexed.
@@ -179,12 +197,12 @@ TEST(MiniPartitionTest, IndexTracksLiveKeysAcrossSealAndExpire) {
   EXPECT_EQ(p.IndexKeyCount(), 64u);
 
   // Expire everything expirable (the head block never expires): only keys
-  // with surviving records may stay in the index -- dead keys must be
-  // erased, not left as empty queues.
+  // with surviving records may count as indexed -- a dead key's slot must
+  // not.
   (void)p.ExpireBlocks(kFarFuture);
   EXPECT_LE(p.IndexKeyCount(), 4u);
   EXPECT_EQ(p.IndexKeyCount(), p.TotalCount());  // keys are all distinct
-  EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture).empty());
+  EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture, scratch).empty());
 
   // Partial expiry: key 1's records all predate the horizon, key 2 stays.
   MiniPartition q(4);
@@ -199,14 +217,14 @@ TEST(MiniPartitionTest, IndexTracksLiveKeysAcrossSealAndExpire) {
   EXPECT_EQ(q.IndexKeyCount(), 2u);
   (void)q.ExpireBlocks(150);
   EXPECT_EQ(q.IndexKeyCount(), 1u);
-  EXPECT_TRUE(q.ProbeSealed(1, 0, kFarFuture).empty());
-  EXPECT_FALSE(q.ProbeSealed(2, 0, kFarFuture).empty());
+  EXPECT_TRUE(q.ProbeSealed(1, 0, kFarFuture, scratch).empty());
+  EXPECT_FALSE(q.ProbeSealed(2, 0, kFarFuture, scratch).empty());
 }
 
 TEST(MiniPartitionTest, IndexBucketsShrinkAfterBurst) {
-  // A bursty run: a wide distinct-key burst grows the bucket array, then
-  // the keys die. The shrink rule must rehash the table back down instead
-  // of carrying thousands of empty buckets for the rest of the run.
+  // A bursty run: a wide distinct-key burst grows the key table, then the
+  // keys die. The shrink rule must rebuild the table back down instead of
+  // carrying thousands of empty slots for the rest of the run.
   MiniPartition p(4);
   for (Time t = 1; t <= 20000; ++t) {
     p.Insert(R(t, static_cast<std::uint64_t>(t)));  // all keys distinct
@@ -217,6 +235,218 @@ TEST(MiniPartitionTest, IndexBucketsShrinkAfterBurst) {
   (void)p.ExpireBlocks(kFarFuture);
   EXPECT_LE(p.IndexKeyCount(), 4u);  // head block only
   EXPECT_LT(p.IndexBucketCount(), peak / 4);
+}
+
+TEST(MiniPartitionTest, ReappearingKeyStopsAtExpiredLinks) {
+  // Key 7's only records expire, and newer records of other keys reuse
+  // their ring slots (the ring holds 16 links). When key 7 comes back, its
+  // chain starts in the dead slot's stale `top`; the walk must stop there
+  // instead of reading the other keys' timestamps out of the reused links.
+  MiniPartition p(4);
+  std::vector<Time> scratch;
+  for (Time t = 1; t <= 4; ++t) p.Insert(R(t, 7));
+  p.Seal();
+  for (Time t = 5; t <= 16; ++t) {
+    p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
+    if (p.HeadFull()) p.Seal();
+  }
+  ASSERT_EQ(p.ExpireBlocks(5).size(), 1u);  // key 7's block
+  EXPECT_TRUE(p.ProbeSealed(7, 0, kFarFuture, scratch).empty());
+  for (Time t = 17; t <= 20; ++t) {
+    p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
+    if (p.HeadFull()) p.Seal();
+  }
+  ASSERT_EQ(p.IndexRingSize(), 16u);  // seqs 16..19 reused key 7's links
+  p.Insert(R(21, 7));
+  p.Seal();
+  auto m = p.ProbeSealed(7, 0, kFarFuture, scratch);
+  ASSERT_EQ(m.size(), 1u);
+  EXPECT_EQ(m[0], 21);
+  EXPECT_EQ(p.IndexKeyCount(), 17u);  // key 7 + keys 105..120
+}
+
+TEST(MiniPartitionTest, NothingAllocatedBeforeFirstSeal) {
+  MiniPartition p(4);
+  std::vector<Time> scratch;
+  EXPECT_EQ(p.IndexBucketCount(), 0u);
+  EXPECT_EQ(p.IndexRingSize(), 0u);
+  EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture, scratch).empty());
+  p.Insert(R(1, 1));
+  EXPECT_EQ(p.IndexBucketCount(), 0u);
+  p.Seal();
+  EXPECT_GT(p.IndexBucketCount(), 0u);
+  EXPECT_GT(p.IndexRingSize(), 0u);
+}
+
+TEST(MiniPartitionTest, RingAndTableShrinkAfterBurst) {
+  // A burst of 5000 distinct keys, then a few hot-key records: both index
+  // arrays grow with the burst and shrink once it expires, and the hot key
+  // stays probe-visible throughout.
+  MiniPartition p(8);
+  std::vector<Time> scratch;
+  Time t = 0;
+  for (int i = 0; i < 5000; ++i) {
+    p.Insert(R(++t, 1'000'000 + static_cast<std::uint64_t>(i)));
+    if (p.HeadFull()) p.Seal();
+  }
+  for (int i = 0; i < 16; ++i) {
+    p.Insert(R(++t, 3));
+    if (p.HeadFull()) p.Seal();
+  }
+  p.Seal();
+  const std::size_t ring_peak = p.IndexRingSize();
+  const std::size_t table_peak = p.IndexBucketCount();
+  EXPECT_GE(ring_peak, 5016u);
+  EXPECT_GE(table_peak, 5001u);
+  (void)p.ExpireBlocks(5001);  // the burst's blocks only
+  EXPECT_EQ(p.SealedCount(), 16u);
+  EXPECT_LT(p.IndexRingSize(), ring_peak / 8);
+  EXPECT_LT(p.IndexBucketCount(), table_peak / 8);
+  EXPECT_EQ(p.IndexKeyCount(), 1u);
+  EXPECT_EQ(p.ProbeSealed(3, 0, kFarFuture, scratch).size(), 16u);
+  EXPECT_TRUE(p.ProbeSealed(1'000'000, 0, kFarFuture, scratch).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzz: random Insert / Seal / ExpireBlocks / InstallSealed
+// sequences over hot and cold keys with repeated timestamps, checked after
+// every step against a brute-force model of the window.
+// ---------------------------------------------------------------------------
+
+struct ModelRec {
+  Rec rec;
+  bool sealed = false;
+};
+
+void CheckAgainstModel(const MiniPartition& p,
+                       const std::deque<ModelRec>& model, Pcg32& rng,
+                       std::vector<Time>& scratch) {
+  // Every key's sealed timestamps in arrival order, plus keys to probe
+  // that have no sealed record at all.
+  std::map<std::uint64_t, std::vector<Time>> sealed_by_key = {
+      {0, {}}, {1, {}}, {2, {}}, {3, {}}, {999'999'999, {}}};
+  std::size_t sealed = 0;
+  std::size_t live_keys = 0;
+  for (const ModelRec& m : model) {
+    std::vector<Time>& ts = sealed_by_key[m.rec.key];
+    if (m.sealed) {
+      if (ts.empty()) ++live_keys;
+      ts.push_back(m.rec.ts);
+      ++sealed;
+    }
+  }
+  ASSERT_EQ(p.TotalCount(), model.size());
+  ASSERT_EQ(p.SealedCount(), sealed);
+  ASSERT_EQ(p.FreshCount(), model.size() - sealed);
+  ASSERT_EQ(p.IndexKeyCount(), live_keys);
+  const Time lo = model.empty() ? 0 : model.front().rec.ts;
+  const Time hi = model.empty() ? 0 : model.back().rec.ts;
+  const auto span = static_cast<std::uint32_t>(hi - lo + 2);
+  for (const auto& [key, all] : sealed_by_key) {
+    // The whole window, then a random sub-window (possibly empty).
+    const Time a = lo + static_cast<Time>(rng.NextBounded(span));
+    const Time b = a + static_cast<Time>(rng.NextBounded(span));
+    for (auto [min_ts, max_ts] : {std::pair<Time, Time>{0, kFarFuture},
+                                  std::pair<Time, Time>{a, b}}) {
+      std::vector<Time> want;
+      for (Time ts : all) {
+        if (ts >= min_ts && ts <= max_ts) want.push_back(ts);
+      }
+      const auto got = p.ProbeSealed(key, min_ts, max_ts, scratch);
+      ASSERT_EQ(std::vector<Time>(got.begin(), got.end()), want)
+          << "key=" << key << " window=[" << min_ts << ", " << max_ts << "]";
+    }
+  }
+}
+
+TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
+  const int iters = FuzzIters(20);
+  for (int it = 1; it <= iters; ++it) {
+    SCOPED_TRACE("seed=" + std::to_string(it));
+    Pcg32 rng(static_cast<std::uint64_t>(it), 29);
+    const std::size_t caps[] = {1, 2, 3, 4, 8};
+    const std::size_t cap = caps[rng.NextBounded(5)];
+    MiniPartition p(cap);
+    std::deque<ModelRec> model;
+    std::vector<Time> scratch;
+    Time ts = 0;
+    std::uint64_t next_cold = 1000;
+    // Hot keys 0-3 repeat constantly; cold keys come from a wide range
+    // and mostly appear once or twice.
+    auto pick_key = [&]() -> std::uint64_t {
+      if (rng.NextBounded(10) < 6) return rng.NextBounded(4);
+      return 1000 + rng.NextBounded(400);
+    };
+    auto advance = [&] {
+      // Half the records share the previous timestamp.
+      if (rng.NextBounded(2) == 0) ts += 1 + rng.NextBounded(3);
+    };
+    auto insert = [&](std::uint64_t key) {
+      if (p.HeadFull()) {
+        p.Seal();
+        for (ModelRec& m : model) m.sealed = true;
+      }
+      advance();
+      p.Insert(R(ts, key));
+      model.push_back(ModelRec{R(ts, key), false});
+    };
+    auto seal = [&] {
+      p.Seal();
+      for (ModelRec& m : model) m.sealed = true;
+    };
+    auto expire = [&](Time low_ts) {
+      // Model: whole blocks of `cap` records from the front, never the
+      // head block (the last ceil(n / cap)-th block).
+      std::size_t expect = 0;
+      while (model.size() - expect > cap &&
+             model[expect + cap - 1].rec.ts < low_ts) {
+        expect += cap;
+      }
+      const std::vector<Block> gone = p.ExpireBlocks(low_ts);
+      std::size_t n = 0;
+      for (const Block& b : gone) {
+        for (const Rec& r : b.Records()) {
+          ASSERT_LT(n, model.size());
+          ASSERT_EQ(r, model[n].rec);
+          ASSERT_TRUE(model[n].sealed);
+          ++n;
+        }
+      }
+      ASSERT_EQ(n, expect);
+      model.erase(model.begin(),
+                  model.begin() + static_cast<std::ptrdiff_t>(n));
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      const std::uint32_t op = rng.NextBounded(100);
+      if (op < 45) {
+        insert(pick_key());
+      } else if (op < 60) {
+        seal();
+      } else if (op < 75) {
+        // InstallSealed needs a partition without fresh records.
+        seal();
+        advance();
+        const std::uint64_t key = pick_key();
+        p.InstallSealed(R(ts, key));
+        model.push_back(ModelRec{R(ts, key), true});
+      } else if (op < 93) {
+        // A window lagging the newest record by 0-40 time units.
+        expire(ts - static_cast<Time>(rng.NextBounded(40)));
+      } else if (op < 97) {
+        // Burst of fresh distinct keys: grows the ring and the table.
+        const std::uint32_t n = 50 + rng.NextBounded(300);
+        for (std::uint32_t i = 0; i < n; ++i) insert(next_cold++);
+        seal();
+      } else {
+        // Expire everything but the head block: shrinks both arrays, and
+        // every key that comes back restarts its chain.
+        expire(kFarFuture);
+      }
+      CheckAgainstModel(p, model, rng, scratch);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

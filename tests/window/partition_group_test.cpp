@@ -60,9 +60,10 @@ TEST(PartitionGroupTest, SplitPreservesEveryRecord) {
   auto recs = InstallRandom(g, 64, 3);
   g.MaybeTune(recs[0].key);
   // Every record must be findable in the mini-group its key routes to.
+  std::vector<Time> scratch;
   for (const Rec& r : recs) {
     MiniGroup& mg = g.GroupFor(r.key);
-    auto m = mg.Part(r.stream).ProbeSealed(r.key, 0, kFarFuture);
+    auto m = mg.Part(r.stream).ProbeSealed(r.key, 0, kFarFuture, scratch);
     EXPECT_FALSE(m.empty()) << "lost record key=" << r.key;
   }
 }

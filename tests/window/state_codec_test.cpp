@@ -58,10 +58,13 @@ TEST(StateCodecTest, RoundTripPreservesEveryRecordAndProbeVisibility) {
   Reader r(w.Bytes());
   auto back = DecodeGroupState(r, SmallCfg(), kTupleBytes);
 
+  std::vector<Time> orig_scratch;
+  std::vector<Time> rebuilt_scratch;
   for (const Rec& rec : recs) {
-    auto orig = g->GroupFor(rec.key).Part(rec.stream).ProbeSealed(rec.key, 0, kFarFuture);
-    auto rebuilt =
-        back->GroupFor(rec.key).Part(rec.stream).ProbeSealed(rec.key, 0, kFarFuture);
+    auto orig = g->GroupFor(rec.key).Part(rec.stream).ProbeSealed(
+        rec.key, 0, kFarFuture, orig_scratch);
+    auto rebuilt = back->GroupFor(rec.key).Part(rec.stream).ProbeSealed(
+        rec.key, 0, kFarFuture, rebuilt_scratch);
     EXPECT_EQ(std::vector<Time>(orig.begin(), orig.end()),
               std::vector<Time>(rebuilt.begin(), rebuilt.end()));
   }
