@@ -1,25 +1,20 @@
-// Extension: wall-clock throughput of one slave's ingest->join pipeline
-// under the lock-free execution substrate (DESIGN.md "Wall-clock execution
-// mode").
+// Extension: wall-clock throughput of one slave's ingest->join pipeline.
 //
-// Shape: a producer thread streams pre-generated tuple batches through a
-// lock-free in-process hub (InProcHub MailboxMode::kLockFree -- the MPSC
-// mailbox) to a consumer thread running a JoinModule over a WorkerPool;
-// both ends synchronize their start on a spin flag and the consumer's
-// drain-to-drain wall time yields tuples/sec. Batch payloads carry only an
-// (offset, count) window into the shared pre-generated record vector, so
-// the measurement is the handoff + join pass, not codec cost.
+// Shape: a producer thread streams pre-generated tuple batches through an
+// in-process hub to a consumer thread running a JoinModule over a
+// WorkerPool; both ends synchronize their start on a flag and the
+// consumer's drain-to-drain wall time yields tuples/sec. Batch payloads
+// carry only an (offset, count) window into the shared pre-generated record
+// vector, so the measurement is the handoff + join pass, not codec cost.
 //
-// Two modes:
-//   * default (what bench_all / CI runs): a tiny structural sweep on the
-//     condvar pool -- exercises the full pipeline and emits the bench-JSON
-//     shape for bench_diff, but makes no performance claim;
-//   * --wall (or SJOIN_BENCH_WALL=1): the pinned sweep -- spin-barrier
-//     pools, workers x offered-rate grid, >= 5 reps per point, median and
-//     p95 tuples/sec per row. Host-dependent by construction
-//     (Deterministic(false)): bench_diff checks structure only. The
-//     acceptance claim is monotonic median tuples/sec from workers=1 to 4
-//     at unpaced offer on a >= 4-core host.
+// Two sweeps:
+//   * default (what bench_all / CI runs): a tiny structural sweep --
+//     exercises the full pipeline and emits the bench-JSON shape for
+//     bench_diff, but makes no performance claim;
+//   * --wall (or SJOIN_BENCH_WALL=1): the larger sweep -- workers x
+//     offered-rate grid, >= 5 reps per point, median and p95 tuples/sec per
+//     row. Host-dependent by construction (Deterministic(false)): bench_diff
+//     checks structure only.
 //
 // Rate 0 means unpaced (producer pushes as fast as the mailbox accepts);
 // a positive rate paces the producer to that offered tuples/sec, so the
@@ -33,7 +28,6 @@
 
 #include "bench_common.h"
 #include "common/flags.h"
-#include "common/lockfree.h"
 #include "core/worker_pool.h"
 #include "gen/stream_source.h"
 #include "join/join_module.h"
@@ -64,11 +58,11 @@ std::vector<std::uint8_t> BatchPayload(std::uint32_t offset,
   return p;
 }
 
-/// One measured repetition: producer -> lock-free hub -> consumer(JoinModule).
+/// One measured repetition: producer -> in-proc hub -> consumer(JoinModule).
 RepResult RunRep(const SystemConfig& cfg, const std::vector<Rec>& recs,
-                 const SweepPoint& pt, std::size_t batch, bool wall) {
+                 const SweepPoint& pt, std::size_t batch) {
   using Clock = std::chrono::steady_clock;
-  InProcHub hub(2, MailboxMode::kLockFree);
+  InProcHub hub(2);
   auto producer_ep = hub.Endpoint(0);
   auto consumer_ep = hub.Endpoint(1);
 
@@ -77,12 +71,8 @@ RepResult RunRep(const SystemConfig& cfg, const std::vector<Rec>& recs,
   RepResult res;
 
   std::thread producer([&] {
-    // Pin away from worker 0 (the consumer): the resolved CPU list wraps,
-    // so on a small host this degrades gracefully to sharing.
-    if (wall) PinWorkerCpu(pt.workers);
     ready.fetch_add(1);
-    SpinWait spin;
-    while (!go.load(std::memory_order_acquire)) spin.Pause();
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
     const auto start = Clock::now();
     std::size_t sent = 0;
     while (sent < recs.size()) {
@@ -109,17 +99,14 @@ RepResult RunRep(const SystemConfig& cfg, const std::vector<Rec>& recs,
   std::thread consumer([&] {
     SystemConfig rep_cfg = cfg;
     rep_cfg.slave.workers = pt.workers;
-    rep_cfg.slave.wall_mode = wall;
     StatsSink sink;
     JoinModule jm(rep_cfg, &sink);
-    WorkerPool pool(pt.workers, WorkerPoolOptions{wall, wall});
-    if (wall) pool.PinCaller();
+    WorkerPool pool(pt.workers);
     jm.SetWorkerPool(&pool);
     constexpr Duration kDrain = 365LL * 24 * 3600 * kUsPerSec;
 
     ready.fetch_add(1);
-    SpinWait spin;
-    while (!go.load(std::memory_order_acquire)) spin.Pause();
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
     const auto start = Clock::now();
     std::uint64_t tuples = 0;
     while (true) {
@@ -138,8 +125,7 @@ RepResult RunRep(const SystemConfig& cfg, const std::vector<Rec>& recs,
     res.outputs = jm.Outputs();
   });
 
-  SpinWait spin;
-  while (ready.load(std::memory_order_acquire) != 2) spin.Pause();
+  while (ready.load(std::memory_order_acquire) != 2) std::this_thread::yield();
   go.store(true, std::memory_order_release);
   producer.join();
   consumer.join();
@@ -166,10 +152,9 @@ int main(int argc, char** argv) {
 
   bench::Reporter rep(
       "ext_wall_throughput", "Ext",
-      "wall-clock slave throughput: lock-free hub + pinned spin pool",
-      "median tuples/sec grows monotonically from workers=1 to 4 at unpaced "
-      "offer on a >= 4-core host; paced rows hold their offered rate until "
-      "the unpaced ceiling",
+      "wall-clock slave throughput: in-proc hub + worker pool",
+      "unpaced rows give the ceiling per worker count; paced rows hold their "
+      "offered rate until that ceiling",
       cfg);
   rep.Deterministic(false);  // wall-clock derived by construction
   rep.Columns({"workers", "offered_tps", "reps", "tps_median", "tps_p95"});
@@ -201,7 +186,7 @@ int main(int argc, char** argv) {
       std::vector<double> tps;
       for (std::uint32_t r = 0; r < reps; ++r) {
         const RepResult res =
-            RunRep(cfg, recs, SweepPoint{workers, rate}, batch, wall);
+            RunRep(cfg, recs, SweepPoint{workers, rate}, batch);
         tps.push_back(res.tuples_per_sec);
         // The join output is workers- and pacing-independent (the
         // deterministic-merge claim); any drift is a correctness bug, not

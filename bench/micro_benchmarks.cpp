@@ -9,16 +9,10 @@
 // (deterministic=false: bench_diff checks structure, not wall timings).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/lockfree.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "gen/stream_source.h"
@@ -146,100 +140,6 @@ void BM_RecCodecThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(1000 * 64));
 }
 BENCHMARK(BM_RecCodecThroughput)->Apply(WithStats);
-
-// -- Mailbox handoff: MPSC queue vs mutex+condvar deque ----------------------
-//
-// The InProcHub hot path in both modes (net/inproc_transport.h MailboxMode),
-// reduced to its essence: Arg(0) producer threads ping small messages at one
-// consumer through the chosen mailbox. The lock-free rows motivate wall
-// mode: per-op cost stays flat as producers are added, where the mutex
-// mailbox serializes and pays a sleep/wake pair per message under
-// contention.
-
-/// Producers hold a shared depth credit (cap 1024, the MPSC node-pool size)
-/// so the in-flight backlog -- and memory -- stays bounded no matter how the
-/// scheduler interleaves the threads.
-constexpr std::int64_t kMailboxDepthCap = 1024;
-
-void BM_MailboxMpscHandoff(benchmark::State& state) {
-  const std::uint32_t producers = static_cast<std::uint32_t>(state.range(0));
-  BlockingMpscQueue<std::uint64_t> q;
-  std::atomic<std::int64_t> depth{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (std::uint32_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      std::uint64_t i = 0;
-      SpinWait spin;
-      while (!stop.load(std::memory_order_acquire)) {
-        if (depth.load(std::memory_order_acquire) >= kMailboxDepthCap) {
-          spin.Pause();
-          continue;
-        }
-        spin.Reset();
-        depth.fetch_add(1, std::memory_order_relaxed);
-        q.Push(p * 1'000'000'000ULL + i++);
-      }
-    });
-  }
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    while (q.PopTimed(v, -1) != PopStatus::kOk) {
-    }
-    depth.fetch_sub(1, std::memory_order_release);
-    benchmark::DoNotOptimize(v);
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : threads) t.join();
-  // Drain whatever the producers left behind so the queue destructs empty.
-  while (q.TryPop(v)) {
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MailboxMpscHandoff)->Arg(1)->Arg(4)->Apply(WithStats);
-
-void BM_MailboxMutexHandoff(benchmark::State& state) {
-  const std::uint32_t producers = static_cast<std::uint32_t>(state.range(0));
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::uint64_t> queue;
-  std::atomic<std::int64_t> depth{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  for (std::uint32_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      std::uint64_t i = 0;
-      SpinWait spin;
-      while (!stop.load(std::memory_order_acquire)) {
-        if (depth.load(std::memory_order_acquire) >= kMailboxDepthCap) {
-          spin.Pause();
-          continue;
-        }
-        spin.Reset();
-        depth.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          queue.push_back(p * 1'000'000'000ULL + i++);
-        }
-        cv.notify_one();
-      }
-    });
-  }
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return !queue.empty(); });
-    v = queue.front();
-    queue.pop_front();
-    lock.unlock();
-    depth.fetch_sub(1, std::memory_order_release);
-    benchmark::DoNotOptimize(v);
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : threads) t.join();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MailboxMutexHandoff)->Arg(1)->Arg(4)->Apply(WithStats);
 
 /// Console output as usual, plus every finished (aggregate) run recorded as
 /// one JSON row: [name, real_time, cpu_time, unit].

@@ -34,8 +34,14 @@
 int main(int argc, char** argv) {
   using namespace sjoin;
 
-  const Rank num_slaves =
-      argc > 1 ? static_cast<Rank>(std::atoi(argv[1])) : 4;
+  // atoi yields 0 for a non-numeric argument, which is rejected too.
+  const int slaves_arg = argc > 1 ? std::atoi(argv[1]) : 4;
+  if (slaves_arg < 1) {
+    std::fprintf(stderr, "usage: %s [num_slaves >= 1] [seconds] [inet]\n",
+                 argv[0]);
+    return 2;
+  }
+  const Rank num_slaves = static_cast<Rank>(slaves_arg);
   const double seconds = argc > 2 ? std::atof(argv[2]) : 8.0;
 
   SystemConfig cfg;

@@ -28,9 +28,6 @@ std::string Summarize(const SystemConfig& cfg) {
   if (cfg.slave.workers != 1) {
     os << " workers=" << cfg.slave.workers;
   }
-  if (cfg.slave.wall_mode) {
-    os << " wall_mode=on";
-  }
   if (!cfg.obs.record_dir.empty()) {
     os << " record=on";
   }

@@ -182,14 +182,6 @@ struct SlaveConfig {
   /// path; k > 1 advances the slave's virtual clock by the critical path
   /// max(worker costs) + merge cost instead of the serial sum.
   std::uint32_t workers = 1;
-
-  /// Wall-clock throughput mode (DESIGN.md "Wall-clock execution mode"):
-  /// the worker pool switches from condvar fork/join to a sense-reversing
-  /// spin barrier with CPU-pinned workers (SJOIN_PIN_CPUS), and in-process
-  /// hubs built from this config use the lock-free MPSC mailbox. Purely an
-  /// execution-engine switch -- the join output is byte-identical to the
-  /// default mode for any worker count (worker_chaos_test asserts it).
-  bool wall_mode = false;
 };
 
 /// Transport selection for the multi-process deployment (launchers that

@@ -1223,7 +1223,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // standby's node loop is parked in Recv and exits on it.
   for (Rank s = 1; s <= n; ++s) {
     if (members.Alive(s - 1)) {
-      transport.Send(s, Message{MsgType::kShutdown, 0, {}});
+      transport.Send(s, Make(MsgType::kShutdown, Writer()));
     }
   }
   sum.wall_stages = obs::SummarizeWallStages(reg);
@@ -1525,11 +1525,8 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   // serial). Only the join thread calls ProcessFor, and RunOnAll is a
   // barrier, so checkpoint sweeps / migrations on this thread always see a
   // quiesced pool. The pool must outlive every ProcessFor call; it is
-  // destroyed after the work loop exits. Wall mode swaps the condvar
-  // fork/join for the spin barrier + CPU pinning (output-identical).
-  WorkerPool pool(cfg.slave.workers,
-                  WorkerPoolOptions{cfg.slave.wall_mode, cfg.slave.wall_mode});
-  if (cfg.slave.wall_mode) pool.PinCaller();
+  // destroyed after the work loop exits.
+  WorkerPool pool(cfg.slave.workers);
   join.SetWorkerPool(&pool);
   if (cfg.replication.enabled) join.EnableCheckpointJournal();
   SlaveSummary sum;
@@ -1934,7 +1931,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   if (opts.slave_inspect) {
     opts.slave_inspect(self, join, epochs_done);
   }
-  transport.Send(collector, Message{MsgType::kShutdown, 0, {}});
+  transport.Send(collector, Make(MsgType::kShutdown, Writer()));
   sum.outputs = sink.Outputs();
   sum.worker_busy_cost_us = join.WorkerBusyUs();
   comm.join();

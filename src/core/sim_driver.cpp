@@ -28,8 +28,7 @@ SimDriver::SimDriver(const SystemConfig& cfg, SimOptions opts)
       master_buffer_(cfg.join.num_partitions, cfg.workload.tuple_bytes),
       pmap_(cfg.join.num_partitions, cfg.ActiveSlavesAtStart()),
       rng_(Mix64(cfg.workload.seed ^ 0xD1E5EEDULL), 99),
-      pool_(cfg.slave.workers,
-            WorkerPoolOptions{cfg.slave.wall_mode, cfg.slave.wall_mode}),
+      pool_(cfg.slave.workers),
       td_(cfg.epoch.t_dist),
       rep_ratio_(static_cast<double>(cfg.epoch.t_rep) /
                  static_cast<double>(cfg.epoch.t_dist)),

@@ -2,57 +2,28 @@
 
 #include <algorithm>
 
-#include "common/lockfree.h"
-
 namespace sjoin {
 
-WorkerPool::WorkerPool(std::uint32_t workers, WorkerPoolOptions opts)
-    : workers_(std::max<std::uint32_t>(1, workers)), opts_(opts) {
+WorkerPool::WorkerPool(std::uint32_t workers)
+    : workers_(std::max<std::uint32_t>(1, workers)) {
   threads_.reserve(workers_ - 1);
   for (std::uint32_t k = 1; k < workers_; ++k) {
-    if (opts_.spin) {
-      threads_.emplace_back([this, k] { SpinWorkerMain(k); });
-    } else {
-      threads_.emplace_back([this, k] { WorkerMain(k); });
-    }
+    threads_.emplace_back([this, k] { WorkerMain(k); });
   }
 }
 
 WorkerPool::~WorkerPool() {
-  if (opts_.spin) {
-    spin_stop_.store(true, std::memory_order_release);
-    // The stop flag alone suffices: spin workers re-check it on every
-    // backoff iteration, so no generation bump is needed.
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_start_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
+  cv_start_.notify_all();
   for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::PinCaller() const {
-  if (opts_.pin) PinWorkerCpu(0);
 }
 
 void WorkerPool::RunOnAll(const std::function<void(std::uint32_t)>& job) {
   if (workers_ == 1) {
     job(0);
-    return;
-  }
-  if (opts_.spin) {
-    job_ = &job;
-    spin_done_.store(0, std::memory_order_relaxed);
-    // Release-publish job_ and the reset done counter with the new sense.
-    spin_gen_.fetch_add(1, std::memory_order_release);
-    job(0);  // the caller is worker 0
-    SpinWait waiter;
-    while (spin_done_.load(std::memory_order_acquire) != workers_ - 1) {
-      waiter.Pause();
-    }
-    job_ = nullptr;
     return;
   }
   {
@@ -87,22 +58,6 @@ void WorkerPool::WorkerMain(std::uint32_t index) {
     }
     // The barrier owner may be the only waiter; notify outside the lock.
     cv_done_.notify_one();
-  }
-}
-
-void WorkerPool::SpinWorkerMain(std::uint32_t index) {
-  if (opts_.pin) PinWorkerCpu(index);
-  std::uint64_t seen = 0;
-  while (true) {
-    SpinWait waiter;
-    std::uint64_t gen;
-    while ((gen = spin_gen_.load(std::memory_order_acquire)) == seen) {
-      if (spin_stop_.load(std::memory_order_acquire)) return;
-      waiter.Pause();
-    }
-    seen = gen;
-    (*job_)(index);
-    spin_done_.fetch_add(1, std::memory_order_release);
   }
 }
 

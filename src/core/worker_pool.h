@@ -1,6 +1,5 @@
 // WorkerPool: the intra-slave worker pool for the parallel batch-join pass
-// (cfg.slave.workers; see DESIGN.md "Intra-slave multicore execution" and
-// "Wall-clock execution mode").
+// (cfg.slave.workers; see DESIGN.md "Intra-slave multicore execution").
 //
 // The pool is deliberately minimal: one synchronous fork/join primitive,
 // RunOnAll, that runs the same job once per worker index and returns only
@@ -10,24 +9,13 @@
 // RunOnAll is a barrier, so by the time the join thread handles any other
 // work item the pool is guaranteed idle.
 //
-// Two barrier implementations, chosen at construction (WorkerPoolOptions):
-//   * condvar (default) -- workers sleep between batches. Right for the
-//     deterministic virtual-clock runs, where batches are sparse and the
-//     host is shared with every other node thread.
-//   * spin (wall mode)  -- a sense-reversing spin barrier: the caller
-//     publishes a generation number (the sense), workers spin-then-yield on
-//     it, and arrival is a single fetch_add the caller spins on. No syscall
-//     on the batch hot path, so per-batch fork/join cost drops from two
-//     futex round-trips per worker to a cache-line ping. Optionally each
-//     worker pins itself to a CPU (SJOIN_PIN_CPUS; see common/lockfree.h).
-// The barrier choice cannot affect the join output: RunOnAll's semantics
-// (full barrier, same job, disjoint state) are identical in both modes.
+// The barrier is a mutex+condvar pair: workers sleep between batches (DESIGN.md
+// says why it does not spin).
 //
 // With workers == 1 the pool owns no threads at all and RunOnAll degrades
 // to a plain inline call -- the serial configuration pays nothing.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -37,30 +25,16 @@
 
 namespace sjoin {
 
-struct WorkerPoolOptions {
-  /// Sense-reversing spin barrier instead of condvar sleep/wake.
-  bool spin = false;
-  /// Pin worker k to the k-th resolved pin CPU (common/lockfree.h
-  /// ResolvePinCpus; SJOIN_PIN_CPUS=off disables). The caller thread is
-  /// worker 0 -- pin it via PinCaller() if wanted.
-  bool pin = false;
-};
-
 class WorkerPool {
  public:
   /// `workers` >= 1; clamped to 1 when 0 is passed.
-  explicit WorkerPool(std::uint32_t workers, WorkerPoolOptions opts = {});
+  explicit WorkerPool(std::uint32_t workers);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   std::uint32_t WorkerCount() const { return workers_; }
-  const WorkerPoolOptions& Options() const { return opts_; }
-
-  /// Pins the calling thread to worker 0's CPU when the pool pins (no-op
-  /// otherwise). Call from the thread that will issue RunOnAll.
-  void PinCaller() const;
 
   /// Runs `job(k)` once for every worker index k in [0, WorkerCount()) and
   /// returns after all of them completed (the calling thread runs worker 0).
@@ -71,28 +45,15 @@ class WorkerPool {
 
  private:
   void WorkerMain(std::uint32_t index);
-  void SpinWorkerMain(std::uint32_t index);
 
   const std::uint32_t workers_;
-  const WorkerPoolOptions opts_;
 
-  // Condvar barrier state (opts_.spin == false).
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;  ///< bumped per RunOnAll; workers latch it
   std::uint32_t pending_ = 0;     ///< helper threads still inside the job
   bool stop_ = false;
-
-  // Spin barrier state (opts_.spin == true). The generation parity is the
-  // barrier's sense: workers spin until the published generation differs
-  // from the one they last served, run the job, then arrive on done_.
-  alignas(64) std::atomic<std::uint64_t> spin_gen_{0};
-  alignas(64) std::atomic<std::uint32_t> spin_done_{0};
-  std::atomic<bool> spin_stop_{false};
-
-  /// The in-flight job; published by the release store/fetch_add of the
-  /// start signal (generation bump) in either mode.
   const std::function<void(std::uint32_t)>* job_ = nullptr;
 
   std::vector<std::thread> threads_;  ///< workers 1 .. workers_-1

@@ -5,7 +5,7 @@
 
 namespace sjoin {
 
-InProcHub::InProcHub(Rank num_ranks, MailboxMode mode) : mode_(mode) {
+InProcHub::InProcHub(Rank num_ranks) {
   boxes_.reserve(num_ranks);
   for (Rank i = 0; i < num_ranks; ++i) {
     boxes_.push_back(std::make_unique<Mailbox>());
@@ -20,24 +20,16 @@ std::unique_ptr<InProcEndpoint> InProcHub::Endpoint(Rank self) {
 void InProcHub::Shutdown() {
   down_.store(true, std::memory_order_release);
   for (auto& box : boxes_) {
-    if (mode_ == MailboxMode::kLockFree) {
-      box->lf.Close();
-    } else {
-      // Lock before notifying so a waiter between its predicate check and
-      // its sleep cannot miss the wakeup.
-      std::lock_guard<std::mutex> lock(box->mu);
-      box->cv.notify_all();
-    }
+    // Lock before notifying so a waiter between its predicate check and its
+    // sleep cannot miss the wakeup.
+    std::lock_guard<std::mutex> lock(box->mu);
+    box->cv.notify_all();
   }
 }
 
 void InProcHub::Push(Rank to, Message msg) {
   assert(to < boxes_.size());
   Mailbox& box = *boxes_[to];
-  if (mode_ == MailboxMode::kLockFree) {
-    box.lf.Push(std::move(msg));
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queue.push_back(std::move(msg));
@@ -47,11 +39,6 @@ void InProcHub::Push(Rank to, Message msg) {
 
 std::optional<Message> InProcHub::Pop(Rank self) {
   Mailbox& box = *boxes_[self];
-  if (mode_ == MailboxMode::kLockFree) {
-    Message msg;
-    if (box.lf.Pop(msg) != PopStatus::kOk) return std::nullopt;  // shutdown
-    return msg;
-  }
   std::unique_lock<std::mutex> lock(box.mu);
   box.cv.wait(lock, [&] { return !box.queue.empty() || Down(); });
   if (box.queue.empty()) return std::nullopt;  // shutdown
@@ -62,21 +49,6 @@ std::optional<Message> InProcHub::Pop(Rank self) {
 
 RecvResult InProcHub::PopTimed(Rank self, Duration timeout_us) {
   Mailbox& box = *boxes_[self];
-  RecvResult res;
-  if (mode_ == MailboxMode::kLockFree) {
-    switch (box.lf.PopTimed(res.msg, timeout_us)) {
-      case PopStatus::kOk:
-        res.status = RecvStatus::kOk;
-        break;
-      case PopStatus::kTimeout:
-        res.status = RecvStatus::kTimeout;
-        break;
-      case PopStatus::kClosed:
-        res.status = RecvStatus::kClosed;
-        break;
-    }
-    return res;
-  }
   std::unique_lock<std::mutex> lock(box.mu);
   const auto ready = [&] { return !box.queue.empty() || Down(); };
   bool got = true;
@@ -87,6 +59,7 @@ RecvResult InProcHub::PopTimed(Rank self, Duration timeout_us) {
     // non-blocking poll of the timeout contract (net/transport.h).
     got = box.cv.wait_for(lock, std::chrono::microseconds(timeout_us), ready);
   }
+  RecvResult res;
   if (!box.queue.empty()) {
     res.status = RecvStatus::kOk;
     res.msg = std::move(box.queue.front());

@@ -1,21 +1,8 @@
-// In-process transport: one mailbox per rank. Endpoints are handed to node
-// threads; Send never blocks for long (the mailbox is unbounded; the epoch
-// protocol itself bounds outstanding data), Recv blocks until a message or
-// hub shutdown. The timed variants wait at most the given number of
-// microseconds (0 = non-blocking poll, negative = forever).
-//
-// Two mailbox implementations, chosen per hub (MailboxMode):
-//   * kMutex (default) -- mutex+condvar deque. Waiters sleep in the kernel;
-//     the right trade for the deterministic virtual-clock runs, where nodes
-//     spend most of their wall time blocked on protocol receives.
-//   * kLockFree -- MpscQueue (common/lockfree.h): wait-free Send from any
-//     peer thread, lock-free consume, spin-then-yield blocking. The wall
-//     throughput mode (cfg.slave.wall_mode) selects this: at full core
-//     utilization the condvar sleep/wake pair on every message is the
-//     bottleneck, not the copy.
-// Both modes keep per-sender FIFO order and identical shutdown semantics
-// (drain, then kClosed), so the mode cannot affect protocol outcomes --
-// worker_chaos_test asserts byte-identical cluster output across modes.
+// In-process transport: one mutex+condvar mailbox per rank. Endpoints are
+// handed to node threads; Send never blocks for long (the mailbox is
+// unbounded; the epoch protocol itself bounds outstanding data), Recv blocks
+// until a message or hub shutdown. The timed variants wait at most the given
+// number of microseconds (0 = non-blocking poll, negative = forever).
 #pragma once
 
 #include <atomic>
@@ -25,19 +12,12 @@
 #include <mutex>
 #include <vector>
 
-#include "common/lockfree.h"
 #include "net/net_instrument.h"
 #include "net/transport.h"
 
 namespace sjoin {
 
 class InProcHub;
-
-/// Mailbox implementation of an InProcHub (see file comment).
-enum class MailboxMode : std::uint8_t {
-  kMutex,     ///< mutex+condvar deque (deterministic virtual-clock default)
-  kLockFree,  ///< MPSC queue + spin-then-yield blocking (wall mode)
-};
 
 class InProcEndpoint final : public Transport {
  public:
@@ -64,11 +44,9 @@ class InProcEndpoint final : public Transport {
 /// endpoint per node thread. Thread-safe.
 class InProcHub {
  public:
-  explicit InProcHub(Rank num_ranks, MailboxMode mode = MailboxMode::kMutex);
+  explicit InProcHub(Rank num_ranks);
 
   std::unique_ptr<InProcEndpoint> Endpoint(Rank self);
-
-  MailboxMode Mode() const { return mode_; }
 
   /// Wakes every blocked Recv with "shut down" (after draining).
   void Shutdown();
@@ -77,12 +55,9 @@ class InProcHub {
   friend class InProcEndpoint;
 
   struct Mailbox {
-    // kMutex members.
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Message> queue;
-    // kLockFree member.
-    BlockingMpscQueue<Message> lf;
   };
 
   void Push(Rank to, Message msg);
@@ -94,7 +69,6 @@ class InProcHub {
 
   bool Down() const { return down_.load(std::memory_order_acquire); }
 
-  const MailboxMode mode_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::atomic<bool> down_{false};
 };

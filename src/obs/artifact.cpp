@@ -17,14 +17,6 @@ const char* KindName(ArtifactKind kind) {
   return "unknown";
 }
 
-std::string FirstSetEnv(const char* const* names) {
-  for (const char* const* v = names; *v != nullptr; ++v) {
-    const char* d = std::getenv(*v);
-    if (d != nullptr && *d != '\0') return d;
-  }
-  return {};
-}
-
 bool WriteFile(const std::string& path, std::string_view content) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return false;
@@ -40,29 +32,9 @@ bool IsByteExactFormat(std::string_view name) {
 
 }  // namespace
 
-std::string ArtifactDir(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kChaos: {
-      static const char* const names[] = {"SJOIN_ARTIFACT_DIR",
-                                          "SJOIN_CHAOS_ARTIFACT_DIR",
-                                          "SJOIN_MEMBERSHIP_ARTIFACT_DIR",
-                                          nullptr};
-      return FirstSetEnv(names);
-    }
-    case ArtifactKind::kMembership: {
-      static const char* const names[] = {"SJOIN_ARTIFACT_DIR",
-                                          "SJOIN_MEMBERSHIP_ARTIFACT_DIR",
-                                          nullptr};
-      return FirstSetEnv(names);
-    }
-    case ArtifactKind::kRecording: {
-      static const char* const names[] = {"SJOIN_ARTIFACT_DIR",
-                                          "SJOIN_CHAOS_ARTIFACT_DIR",
-                                          nullptr};
-      return FirstSetEnv(names);
-    }
-  }
-  return {};
+std::string ArtifactDir() {
+  const char* d = std::getenv("SJOIN_ARTIFACT_DIR");
+  return d != nullptr ? d : "";
 }
 
 std::string ArtifactHeader(ArtifactKind kind, std::string_view name,
@@ -82,7 +54,7 @@ std::string ArtifactHeader(ArtifactKind kind, std::string_view name,
 bool WriteArtifact(ArtifactKind kind, const std::string& name,
                    const std::string& content,
                    std::string_view config_summary) {
-  const std::string dir = ArtifactDir(kind);
+  const std::string dir = ArtifactDir();
   if (dir.empty()) return false;
   const std::string header = ArtifactHeader(kind, name, config_summary);
   const std::string path = dir + "/" + name;

@@ -1,11 +1,8 @@
 // Unified artifact directory + self-describing dump stamping.
 //
 // Every failure path (chaos output diffs, membership post-mortems, kept
-// record/replay bundles) lands its triage files in one directory that CI
-// uploads. Historically each subsystem had its own env var
-// (SJOIN_CHAOS_ARTIFACT_DIR, SJOIN_MEMBERSHIP_ARTIFACT_DIR); those remain
-// as aliases, but one SJOIN_ARTIFACT_DIR now covers everything and the
-// ArtifactDir(kind) helper is the single resolution point.
+// record/replay bundles) lands its triage files in the one directory named
+// by SJOIN_ARTIFACT_DIR, which CI uploads; ArtifactDir() reads it.
 //
 // WriteArtifact additionally stamps every dump so artifacts are
 // self-describing: text artifacts get a `# sjoin-artifact ...` comment
@@ -29,13 +26,8 @@ enum class ArtifactKind {
   kRecording,   ///< kept .sjrec record/replay bundles
 };
 
-/// Directory for `kind`, or "" when no artifact directory is configured.
-/// Resolution order: SJOIN_ARTIFACT_DIR, then the kind's legacy aliases
-/// (kChaos: SJOIN_CHAOS_ARTIFACT_DIR then SJOIN_MEMBERSHIP_ARTIFACT_DIR,
-/// matching the runner's historical fallback; kMembership:
-/// SJOIN_MEMBERSHIP_ARTIFACT_DIR; kRecording: SJOIN_CHAOS_ARTIFACT_DIR,
-/// since kept bundles ride along with the chaos dump).
-std::string ArtifactDir(ArtifactKind kind);
+/// $SJOIN_ARTIFACT_DIR, or "" when it is unset or empty.
+std::string ArtifactDir();
 
 /// The stamp prepended to (or sidecar'd next to) every artifact:
 ///   "# sjoin-artifact schema=1 kind=<kind> name=<name>\n"
@@ -43,7 +35,7 @@ std::string ArtifactDir(ArtifactKind kind);
 std::string ArtifactHeader(ArtifactKind kind, std::string_view name,
                            std::string_view config_summary);
 
-/// Writes `<ArtifactDir(kind)>/<name>`. Text artifacts are stamped inline;
+/// Writes `<ArtifactDir()>/<name>`. Text artifacts are stamped inline;
 /// names ending in ".json" or ".sjrec" are written byte-exact with the
 /// header in a `<name>.meta` sidecar. Returns false when no artifact dir is
 /// configured or the file cannot be created.

@@ -1,8 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdlib>
-#include <fstream>
-
 namespace sjoin::obs {
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -73,23 +70,6 @@ std::string FlightRecorder::Dump() const {
     out += '\n';
   }
   return out;
-}
-
-bool DumpToArtifactDir(const char* const* env_vars, const std::string& name,
-                       const std::string& content) {
-  const char* dir = nullptr;
-  for (const char* const* v = env_vars; *v != nullptr; ++v) {
-    const char* d = std::getenv(*v);
-    if (d != nullptr && *d != '\0') {
-      dir = d;
-      break;
-    }
-  }
-  if (dir == nullptr) return false;
-  std::ofstream f(std::string(dir) + "/" + name, std::ios::binary);
-  if (!f) return false;
-  f << content;
-  return static_cast<bool>(f);
 }
 
 }  // namespace sjoin::obs

@@ -64,13 +64,4 @@ class FlightRecorder {
   std::vector<FlightEvent> ring_;  // grows to capacity_, then wraps
 };
 
-/// Writes `content` to `<dir>/<name>` where `dir` comes from the first set,
-/// non-empty environment variable in `env_vars` (a null-terminated array of
-/// names). Returns true when a file was written; silently false when no
-/// variable is set (local runs) or the file cannot be created. The chaos
-/// harness and the runner share this helper so every failure path lands its
-/// triage bundle in the same artifact directory CI uploads.
-bool DumpToArtifactDir(const char* const* env_vars, const std::string& name,
-                       const std::string& content);
-
 }  // namespace sjoin::obs

@@ -6,6 +6,20 @@
 
 namespace sjoin::obs {
 
+namespace {
+
+/// Throws unless `count` items of `item_bytes` each fit in what `r` has
+/// left, so a corrupt count cannot drive a huge reserve.
+void RequireItems(const Reader& r, std::uint64_t count,
+                  std::size_t item_bytes) {
+  if (count > r.Remaining() / item_bytes) {
+    throw DecodeError("count " + std::to_string(count) +
+                      " exceeds the remaining bytes");
+  }
+}
+
+}  // namespace
+
 // -- SystemConfig codec -----------------------------------------------------
 //
 // Fixed field order, governed by the bundle schema version. Every knob is
@@ -44,7 +58,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU32(cfg.replication.ckpt_interval_epochs);
 
   w.PutU32(cfg.slave.workers);
-  w.PutU8(cfg.slave.wall_mode ? 1 : 0);
 
   const ElasticConfig& el = cfg.cluster.elastic;
   w.PutU8(el.enabled ? 1 : 0);
@@ -123,7 +136,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.replication.ckpt_interval_epochs = r.GetU32();
 
   cfg.slave.workers = r.GetU32();
-  cfg.slave.wall_mode = r.GetU8() != 0;
 
   ElasticConfig& el = cfg.cluster.elastic;
   el.enabled = r.GetU8() != 0;
@@ -147,6 +159,7 @@ SystemConfig DecodeSystemConfig(Reader& r) {
 
   cfg.workload.lambda = r.GetDouble();
   const std::uint32_t phases = r.GetU32();
+  RequireItems(r, phases, 16);  // duration + rate
   cfg.workload.rate_schedule.clear();
   cfg.workload.rate_schedule.reserve(phases);
   for (std::uint32_t i = 0; i < phases; ++i) {
@@ -212,6 +225,7 @@ RecordingManifest DecodeManifest(Reader& r) {
   m.has_input_trace = r.GetU8() != 0;
   if (m.has_input_trace) {
     const std::uint64_t n = r.GetU64();
+    RequireItems(r, n, 17);  // ts + key + stream
     m.input_trace.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       Rec rec;

@@ -43,8 +43,9 @@
 
 namespace sjoin::obs {
 
-// v2: SystemConfig gained slave.wall_mode (u8 after slave.workers).
-inline constexpr std::uint32_t kRecordingSchemaVersion = 2;
+// v2 added a u8 execution-mode flag after slave.workers; v3 drops it. Only
+// the current schema loads.
+inline constexpr std::uint32_t kRecordingSchemaVersion = 3;
 inline constexpr char kRecordingMagic[6] = {'S', 'J', 'R', 'E', 'C', '\n'};
 
 /// Peer value recorded for an untargeted Recv()/RecvTimed() timeout or

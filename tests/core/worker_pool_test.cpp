@@ -72,64 +72,15 @@ TEST(WorkerPoolTest, BarrierAndReuseAcrossManyRounds) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Spin-barrier mode (wall-clock execution): same RunOnAll semantics, no
-// condvar on the hot path. These mirror the condvar cases and run under
-// TSan in CI -- the generation/done-counter handshake is the entire
-// synchronization story of the spin pool.
-// ---------------------------------------------------------------------------
-
-TEST(WorkerPoolSpinTest, EveryWorkerRunsExactlyOnce) {
-  WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  ASSERT_TRUE(pool.Options().spin);
-  std::vector<std::atomic<int>> hits(4);
-  pool.RunOnAll([&](std::uint32_t w) { hits[w].fetch_add(1); });
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(hits[w].load(), 1) << "worker " << w;
-  }
-}
-
-TEST(WorkerPoolSpinTest, BarrierAndReuseAcrossManyRounds) {
-  // The sense-reversing handshake must publish each round's writes before
-  // RunOnAll returns, and a reset done-counter must not leak between
-  // rounds; plain (non-atomic) per-worker state catches both under TSan.
-  WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  std::vector<std::uint64_t> per_worker(4, 0);
-  for (int round = 0; round < 200; ++round) {
-    pool.RunOnAll([&](std::uint32_t w) { per_worker[w] += w + 1; });
-  }
-  for (std::uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(per_worker[w], 200u * (w + 1));
-  }
-}
-
-TEST(WorkerPoolSpinTest, CallerParticipatesAsWorkerZero) {
-  WorkerPool pool(3, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> zero_on_caller{false};
-  pool.RunOnAll([&](std::uint32_t w) {
-    if (w == 0) zero_on_caller = std::this_thread::get_id() == caller;
-  });
-  EXPECT_TRUE(zero_on_caller.load());
-}
-
-TEST(WorkerPoolSpinTest, IdleDestructionDoesNotHang) {
-  // Destroying a spin pool that never ran a job (and one that did) must
-  // terminate promptly via the stop flag, not wait for a generation bump.
-  { WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false}); }
+TEST(WorkerPoolTest, IdleDestructionDoesNotHang) {
+  // Destroying a pool that never ran a job (and one that did) must wake the
+  // sleeping workers through the stop flag and join them promptly.
+  { WorkerPool pool(4); }
   {
-    WorkerPool pool(4, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
+    WorkerPool pool(4);
     pool.RunOnAll([](std::uint32_t) {});
   }
   SUCCEED();
-}
-
-TEST(WorkerPoolSpinTest, PinCallerIsNoOpWhenUnpinned) {
-  WorkerPool pool(2, WorkerPoolOptions{/*spin=*/true, /*pin=*/false});
-  pool.PinCaller();  // must not touch affinity when opts.pin is false
-  std::atomic<int> ran{0};
-  pool.RunOnAll([&](std::uint32_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,13 +129,12 @@ struct PassResult {
 
 /// Feeds `recs` in epoch-sized batches, fully draining after each batch
 /// (the wall runner's schedule), under `workers`.
-PassResult RunPass(const std::vector<Rec>& recs, std::uint32_t workers,
-                   bool spin = false) {
+PassResult RunPass(const std::vector<Rec>& recs, std::uint32_t workers) {
   SystemConfig cfg = PoolCfg();
   cfg.slave.workers = workers;
   CollectSink sink;
   JoinModule jm(cfg, &sink);
-  WorkerPool pool(workers, WorkerPoolOptions{spin, /*pin=*/false});
+  WorkerPool pool(workers);
   jm.SetWorkerPool(&pool);
   PassResult res;
   const std::size_t kBatch = 100;
@@ -221,26 +171,6 @@ TEST(WorkerPoolJoinTest, ParallelPassMatchesSerialExactly) {
   }
 }
 
-TEST(WorkerPoolJoinTest, SpinPoolPassMatchesSerialExactly) {
-  // The spin pool swaps only the barrier (a sense-reversing spin instead of
-  // condvar sleep/wake) around the same lanes and per-pid merge; the output,
-  // counters, and virtual cost must still be byte-identical to the serial
-  // pass.
-  const std::vector<Rec> recs = MakeRecs(3000, 11);
-  const PassResult serial = RunPass(recs, 1);
-  for (std::uint32_t workers : {2u, 4u}) {
-    const PassResult spin = RunPass(recs, workers, /*spin=*/true);
-    const PassResult condvar = RunPass(recs, workers, /*spin=*/false);
-    EXPECT_EQ(spin.pairs, serial.pairs) << "workers=" << workers;
-    EXPECT_EQ(spin.outputs, serial.outputs) << "workers=" << workers;
-    EXPECT_EQ(spin.comparisons, serial.comparisons) << "workers=" << workers;
-    EXPECT_EQ(spin.processed, serial.processed) << "workers=" << workers;
-    // Against the condvar pool the *entire* result including the virtual
-    // cost must match: the barrier flavor is invisible to the cost model.
-    EXPECT_EQ(spin.cost, condvar.cost) << "workers=" << workers;
-  }
-}
-
 TEST(WorkerPoolJoinTest, BindingBudgetRequeuesLeftoversExactly) {
   // A budget of a few tuples per lane binds several times per batch, so
   // every call leaves leftovers the module must re-queue in arrival order.
@@ -263,12 +193,12 @@ TEST(WorkerPoolJoinTest, BindingBudgetRequeuesLeftoversExactly) {
   }
   ASSERT_EQ(first_pids, all_pids);
 
-  auto run = [&](std::uint32_t workers, bool spin) {
+  auto run = [&](std::uint32_t workers) {
     SystemConfig cfg = base;
     cfg.slave.workers = workers;
     CollectSink sink;
     JoinModule jm(cfg, &sink);
-    WorkerPool pool(workers, WorkerPoolOptions{spin, /*pin=*/false});
+    WorkerPool pool(workers);
     jm.SetWorkerPool(&pool);
     std::size_t enqueued = 0;
     std::size_t batches = 0;
@@ -299,19 +229,16 @@ TEST(WorkerPoolJoinTest, BindingBudgetRequeuesLeftoversExactly) {
     return res;
   };
 
-  const PassResult serial = run(1, false);
+  const PassResult serial = run(1);
   ASSERT_GT(serial.pairs.size(), 100u);
   ASSERT_EQ(serial.pairs, RunPass(recs, 1).pairs);  // budget-independent
   for (std::uint32_t workers : {2u, 4u, 8u}) {
-    for (bool spin : {false, true}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " spin=" + std::to_string(spin));
-      const PassResult par = run(workers, spin);
-      EXPECT_EQ(par.pairs, serial.pairs);
-      EXPECT_EQ(par.outputs, serial.outputs);
-      EXPECT_EQ(par.comparisons, serial.comparisons);
-      EXPECT_EQ(par.processed, serial.processed);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const PassResult par = run(workers);
+    EXPECT_EQ(par.pairs, serial.pairs);
+    EXPECT_EQ(par.outputs, serial.outputs);
+    EXPECT_EQ(par.comparisons, serial.comparisons);
+    EXPECT_EQ(par.processed, serial.processed);
   }
 }
 
@@ -329,7 +256,8 @@ TEST(WorkerPoolJoinTest, WorkerCostsAreAccounted) {
   // The summed busy cost across workers is at least the critical path the
   // clock advanced by (equality only if one lane did all the work).
   EXPECT_GT(jm.WorkerBusyUs(), 0u);
-  EXPECT_GE(jm.WorkerBusyUs() + cfg.cost.MergeCost(jm.Outputs()),
+  EXPECT_GE(jm.WorkerBusyUs() +
+                static_cast<std::uint64_t>(cfg.cost.MergeCost(jm.Outputs())),
             static_cast<std::uint64_t>(critical));
 }
 

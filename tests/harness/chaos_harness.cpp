@@ -118,10 +118,7 @@ std::string ChaosClusterResult::Summary(bool include_fault_lines) const {
 
 ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
   const Rank n = opts.cfg.num_slaves;
-  // Wall mode also selects the lock-free mailbox, so the chaos matrix can
-  // pin the byte-identity of both hot-path swaps at once.
-  InProcHub hub(n + 2, opts.cfg.slave.wall_mode ? MailboxMode::kLockFree
-                                                : MailboxMode::kMutex);
+  InProcHub hub(n + 2);
 
   ChaosClusterResult result;
   result.slaves.resize(n);

@@ -19,9 +19,8 @@
 //   * invalid scheduled events are skipped and counted, never executed.
 //
 // On failure, each test dumps its artifacts (summary, recorder exports,
-// trace) under $SJOIN_ARTIFACT_DIR (or the legacy
-// $SJOIN_MEMBERSHIP_ARTIFACT_DIR alias) when set -- the CI chaos job
-// uploads that directory.
+// trace) under $SJOIN_ARTIFACT_DIR when set -- the CI chaos job uploads that
+// directory.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -113,13 +112,12 @@ std::string StripWorkerCell(const std::string& text) {
   return out.str();
 }
 
-/// Writes the run's deterministic artifacts under the membership artifact
-/// dir ($SJOIN_ARTIFACT_DIR or the legacy $SJOIN_MEMBERSHIP_ARTIFACT_DIR;
-/// see obs::ArtifactDir) as <tag>.* for the CI upload-on-failure path,
-/// schema-stamped by obs::WriteArtifact; silently a no-op when neither
-/// variable is set (local runs).
+/// Writes the run's deterministic artifacts under $SJOIN_ARTIFACT_DIR (see
+/// obs::ArtifactDir) as <tag>.* for the CI upload-on-failure path,
+/// schema-stamped by obs::WriteArtifact; silently a no-op when the variable
+/// is unset (local runs).
 void DumpArtifacts(const std::string& tag, const ChaosClusterResult& r) {
-  if (obs::ArtifactDir(obs::ArtifactKind::kMembership).empty()) return;
+  if (obs::ArtifactDir().empty()) return;
   {
     std::ostringstream summary;
     summary << r.Summary(/*include_fault_lines=*/true);

@@ -400,14 +400,14 @@ TEST(ObsChaosTest, TupleDelayAndHealthTelemetryReachClusterView) {
 // Flight-recorder acceptance: a chaos run whose output diff fails (a crash
 // without replication loses window state, so outputs go missing) must leave
 // every rank's flight ring and the stitched trace in the artifact
-// directory named by SJOIN_CHAOS_ARTIFACT_DIR.
+// directory named by SJOIN_ARTIFACT_DIR.
 TEST(ObsChaosTest, OutputDiffFailureDumpsFlightRingsAndStitchedTrace) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
                        ("sjoin_flight_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
-  ASSERT_EQ(::setenv("SJOIN_CHAOS_ARTIFACT_DIR", dir.c_str(), 1), 0);
+  ASSERT_EQ(::setenv("SJOIN_ARTIFACT_DIR", dir.c_str(), 1), 0);
 
   ChaosClusterOptions opts = BaseOptions(47);
   // No replication: the crashed slave's window state (and its share of the
@@ -417,7 +417,7 @@ TEST(ObsChaosTest, OutputDiffFailureDumpsFlightRingsAndStitchedTrace) {
   opts.faults.crash_rank = 2;
   opts.faults.crash_after_batches = 6;
   ChaosClusterResult r = RunChaosCluster(opts);
-  ::unsetenv("SJOIN_CHAOS_ARTIFACT_DIR");
+  ::unsetenv("SJOIN_ARTIFACT_DIR");
   ASSERT_EQ(r.master.dead_slaves, 1u);
   ASSERT_FALSE(r.exact);
   ASSERT_FALSE(r.missing.empty());

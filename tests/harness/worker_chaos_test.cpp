@@ -245,43 +245,6 @@ TEST(WorkerChaosTest, TupleDelayHistogramsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
-// Wall mode flips every hot-path implementation at once -- the lock-free
-// MPSC mailbox in the hub, the spin-barrier worker pool, and the
-// completion-order lane->merge gather -- and none of it may show in any
-// deterministic artifact: same seed, workers=4, wall_mode on vs off must be
-// byte-identical (output set, trace, recorder exports).
-TEST(WorkerChaosTest, WallModeIsByteIdenticalToDefaultAtFourWorkers) {
-  ChaosClusterOptions opts = BaseOptions(81);
-  opts.cfg.balance.th_sup = 2.0;  // suppress wall-timing-dependent moves
-  opts.cfg.slave.workers = 4;
-  opts.trace_events = true;
-
-  struct RunArtifacts {
-    std::string outputs;
-    std::string trace;
-    std::vector<std::string> csv;
-  };
-  std::vector<RunArtifacts> runs;
-  for (bool wall : {false, true}) {
-    opts.cfg.slave.wall_mode = wall;
-    ChaosClusterResult r = RunChaosCluster(opts);
-    ASSERT_TRUE(r.exact) << "wall_mode=" << wall;
-    RunArtifacts a;
-    a.outputs = PairsDigest(r.outputs);
-    a.trace = r.trace_json;
-    for (Rank rank = 0; rank <= opts.cfg.num_slaves; ++rank) {
-      a.csv.push_back(r.obs[rank]->recorder.ExportCsv());
-    }
-    runs.push_back(std::move(a));
-  }
-  ASSERT_FALSE(runs[0].outputs.empty());
-  EXPECT_EQ(runs[1].outputs, runs[0].outputs);
-  EXPECT_EQ(runs[1].trace, runs[0].trace);
-  for (std::size_t rank = 0; rank < runs[0].csv.size(); ++rank) {
-    EXPECT_EQ(runs[1].csv[rank], runs[0].csv[rank]) << "rank=" << rank;
-  }
-}
-
 // Crash + buddy failover + replay with a 4-worker pool: the quiesced-pool
 // guarantee (RunOnAll is a barrier, so checkpoints and migrations always
 // see settled window state) must keep recovery exact.

@@ -148,7 +148,7 @@ TEST(InProcTransportTest, ManyToOneStress) {
     threads.emplace_back([&hub, s] {
       auto ep = hub.Endpoint(s);
       for (int i = 0; i < kEach; ++i) {
-        ep->Send(kSenders, Message{MsgType::kTupleBatch, 0, {}});
+        ep->Send(kSenders, Msg(MsgType::kTupleBatch));
       }
     });
   }

@@ -132,8 +132,8 @@ TEST(ClusterMetricsViewTest, KeyedByStampNotArrival) {
   ClusterMetricsView view;
   // Epoch 7 arrives before epoch 6 (reordered in flight): both retrievable
   // under their own stamps.
-  view.Record(3, 7, {{"tuples", "", MetricKind::kCounter, 70, 0.0}});
-  view.Record(3, 6, {{"tuples", "", MetricKind::kCounter, 60, 0.0}});
+  view.Record(3, 7, {{"tuples", "", MetricKind::kCounter, 70, 0.0, {}, {}, 0}});
+  view.Record(3, 6, {{"tuples", "", MetricKind::kCounter, 60, 0.0, {}, {}, 0}});
   EXPECT_EQ(view.CounterAt(3, 6, "tuples"), 60u);
   EXPECT_EQ(view.CounterAt(3, 7, "tuples"), 70u);
   EXPECT_EQ(view.LatestEpoch(3), 7);
@@ -148,7 +148,8 @@ TEST(ClusterMetricsViewTest, KeyedByStampNotArrival) {
 
 TEST(ClusterMetricsViewTest, DuplicateFrameIsIdempotent) {
   ClusterMetricsView view;
-  std::vector<MetricSample> frame{{"c", "", MetricKind::kCounter, 5, 0.0}};
+  std::vector<MetricSample> frame{
+      {"c", "", MetricKind::kCounter, 5, 0.0, {}, {}, 0}};
   view.Record(1, 2, frame);
   view.Record(1, 2, frame);  // duplicated kMetrics delivery
   EXPECT_EQ(view.FrameCount(), 1u);
@@ -159,9 +160,9 @@ TEST(ClusterMetricsViewTest, CsvExportIsDeterministic) {
   auto build = [] {
     ClusterMetricsView view;
     view.Record(2, 1,
-                {{"a", "", MetricKind::kCounter, 1, 0.0},
-                 {"g", "", MetricKind::kGauge, 0, 0.5}});
-    view.Record(1, 1, {{"a", "", MetricKind::kCounter, 2, 0.0}});
+                {{"a", "", MetricKind::kCounter, 1, 0.0, {}, {}, 0},
+                 {"g", "", MetricKind::kGauge, 0, 0.5, {}, {}, 0}});
+    view.Record(1, 1, {{"a", "", MetricKind::kCounter, 2, 0.0, {}, {}, 0}});
     return view.ExportCsv();
   };
   std::string csv = build();

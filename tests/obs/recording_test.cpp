@@ -142,10 +142,57 @@ TEST(RecordingCodecTest, ManifestRejectsWrongSchema) {
   RecordingManifest m;
   Writer w;
   EncodeManifest(w, m);
-  std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
-  bytes[0] = 99;  // schema field is the leading u32
-  Reader r(bytes);
-  EXPECT_THROW((void)DecodeManifest(r), DecodeError);
+  // 2 is the previous schema (it had an execution-mode byte): no reader.
+  for (const std::uint8_t schema : {std::uint8_t{99}, std::uint8_t{2}}) {
+    std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
+    bytes[0] = schema;  // schema field is the leading u32
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeManifest(r), DecodeError)
+        << "schema " << int{schema};
+  }
+}
+
+// A corrupt element count must fail as a DecodeError, not reach reserve().
+// Each count is found as the first byte where an encoding with no elements
+// differs from one with one element, then set to its maximum.
+TEST(RecordingCodecTest, CorruptCountsAreDecodeErrors) {
+  const auto max_count_at_first_difference =
+      [](const Writer& none, const Writer& one, std::size_t width) {
+        std::vector<std::uint8_t> bytes(none.Bytes().begin(),
+                                        none.Bytes().end());
+        const auto at = std::mismatch(bytes.begin(), bytes.end(),
+                                      one.Bytes().begin())
+                            .first;
+        std::fill(at, at + static_cast<std::ptrdiff_t>(width),
+                  std::uint8_t{0xFF});
+        return bytes;
+      };
+  {
+    SystemConfig with_phase;
+    with_phase.workload.rate_schedule = {RatePhase{1, 2.0}};
+    Writer none;
+    Writer one;
+    EncodeSystemConfig(none, SystemConfig{});
+    EncodeSystemConfig(one, with_phase);
+    const std::vector<std::uint8_t> bytes =
+        max_count_at_first_difference(none, one, 4);
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeSystemConfig(r), DecodeError);
+  }
+  {
+    RecordingManifest empty_trace;
+    empty_trace.has_input_trace = true;
+    RecordingManifest one_rec = empty_trace;
+    one_rec.input_trace = {Rec{1, 2, 0}};
+    Writer none;
+    Writer one;
+    EncodeManifest(none, empty_trace);
+    EncodeManifest(one, one_rec);
+    const std::vector<std::uint8_t> bytes =
+        max_count_at_first_difference(none, one, 8);
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeManifest(r), DecodeError);
+  }
 }
 
 TEST(RecordingWriterTest, WriterLoaderRoundTrip) {

@@ -110,8 +110,9 @@ int main(int argc, char** argv) {
     // The bench writes its own report; the env var points it at work-dir.
     // setenv + std::system keeps the child's environment inherited.
     ::setenv("SJOIN_BENCH_JSON_DIR", work_dir.string().c_str(), 1);
-    std::string cmd = "'" + bin.string() + "' > '" + log.string() +
-                      "' 2>&1";
+    // Appended to: GCC 12 -O3 reports a false -Wrestrict for "'" + string.
+    std::string cmd = "'";
+    cmd += bin.string() + "' > '" + log.string() + "' 2>&1";
     std::printf("bench_all: running %s ...\n", id.c_str());
     std::fflush(stdout);
     const int rc = std::system(cmd.c_str());
