@@ -10,11 +10,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "core/master_buffer.h"
 #include "gen/stream_source.h"
 #include "hash/extendible.h"
 #include "join/join_module.h"
@@ -74,6 +76,10 @@ void BM_ExtendibleFindAndSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtendibleFindAndSplit)->Apply(WithStats);
 
+/// One slave's join, fed one batch per second in the order a slave
+/// receives it: the master files arrivals per partition and ships each
+/// slave its partitions' runs concatenated in pid order
+/// (MasterBuffer::DrainFor), so a batch visits one group's tuples together.
 void BM_JoinModuleProcessTuple(benchmark::State& state) {
   SystemConfig cfg;
   cfg.join.window = 10 * kUsPerSec;
@@ -81,13 +87,21 @@ void BM_JoinModuleProcessTuple(benchmark::State& state) {
   StatsSink sink;
   JoinModule jm(cfg, &sink);
   MergedSource src(5000.0, 0.7, 100'000, 3);
+  MasterBuffer master(cfg.join.num_partitions, cfg.workload.tuple_bytes);
+  std::vector<PartitionId> pids(cfg.join.num_partitions);
+  std::iota(pids.begin(), pids.end(), PartitionId{0});
+  std::vector<Rec> arrivals;
   std::vector<Rec> batch;
   Time horizon = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    batch.clear();
+    arrivals.clear();
     horizon += kUsPerSec;
-    src.DrainUntil(horizon, batch);
+    src.DrainUntil(horizon, arrivals);
+    for (const Rec& rec : arrivals) {
+      master.Add(rec, PartitionOf(rec.key, cfg.join.num_partitions));
+    }
+    batch = master.DrainFor(pids);
     state.ResumeTiming();
     jm.EnqueueBatch(batch);
     jm.ProcessFor(horizon, 3600 * kUsPerSec);

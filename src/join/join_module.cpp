@@ -78,6 +78,7 @@ Duration JoinModule::ProcessFor(Time from, Duration budget) {
 Duration JoinModule::ProcessSerial(Time from, Duration budget) {
   PassCtx ctx;
   ctx.sink = sink_;
+  ctx.scratch = &serial_scratch_;
   Duration used = 0;
   while (!buffer_.empty() && used < budget) {
     Rec rec = buffer_.front();
@@ -155,6 +156,7 @@ void JoinModule::RunLane(std::uint32_t w) {
   PassCtx& ctx = lane.stats;
   ctx = PassCtx{};
   ctx.sink = &lane.staging;
+  ctx.scratch = &lane.scratch;
   const Time from = pass_from_;
   Duration used = 0;
   // Route in place: every lane scans the whole buffer and takes its own
@@ -199,10 +201,12 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
   Duration c = 0;
   std::uint64_t tune_key = 0;
   bool have_key = false;
+  ProbeScratch& scratch = *ctx.scratch;
 
   // Probe each stream's fresh batch against the opposite *sealed* records,
   // sealing stream 0 before stream 1 probes so cross-fresh pairs are emitted
-  // exactly once (the paper's duplicate-elimination rule).
+  // exactly once (the paper's duplicate-elimination rule). The whole batch
+  // probes in one interleaved walk, which emits in fresh order.
   for (StreamId s = 0; s < kStreamCount; ++s) {
     auto fresh = mg.Part(s).FreshRecords();
     if (fresh.empty()) continue;
@@ -213,22 +217,31 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
     ctx.comparisons += cmp;
     c += cost_.CmpCost(cmp);
     const Time produced_at = work_start + c;
+    scratch.probes.clear();
     for (const Rec& r : fresh) {
-      auto partners = opp.ProbeSealed(r.key, r.ts - window_, r.ts + window_,
-                                      group.ProbeScratch());
-      if (!partners.empty()) {
-        ctx.outputs += partners.size();
-        ctx.sink->OnMatches(r, partners, produced_at);
-      }
+      scratch.probes.push_back({r.key, r.ts - window_, r.ts + window_});
     }
+    opp.ProbeSealedBatch(
+        scratch.probes, scratch.batch,
+        [&](std::size_t i, std::span<const Time> partners) {
+          if (partners.empty()) return;
+          ctx.outputs += partners.size();
+          ctx.sink->OnMatches(fresh[i], partners, produced_at);
+        });
     if (journal_enabled_) {
       group.AppendJournal(fresh);
     }
     mg.Part(s).Seal();
   }
 
-  c += ExpireMiniGroup(group, mg, mg.MaxSeenTs() - window_, work_start + c,
-                       ctx);
+  // Both streams have probed and sealed, so no fresh tuple is left for an
+  // expiring block to join: the paper's completeness rule holds here by
+  // construction, and expiry only drops records.
+  const Time low_ts = mg.MaxSeenTs() - window_;
+  for (StreamId s = 0; s < kStreamCount; ++s) {
+    const std::size_t expired = mg.Part(s).ExpireBlocks(low_ts);
+    group.AddCount(-static_cast<std::ptrdiff_t>(expired));
+  }
 
   if (have_key) {
     // NOTE: a split/merge invalidates `mg`; nothing touches it afterwards.
@@ -237,47 +250,6 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
     // obs::Counter is a relaxed atomic: safe from concurrent workers.
     if (obs_tuning_ != nullptr && moved > 0) obs_tuning_->Add(moved);
     c += cost_.MoveCost(moved);
-  }
-  return c;
-}
-
-Duration JoinModule::ExpireMiniGroup(PartitionGroup& group, MiniGroup& mg,
-                                     Time low_ts, Time produced_at,
-                                     PassCtx& ctx) {
-  Duration c = 0;
-  // Group-local scratch: reused across flushes, and safe under the pool
-  // because a group is only ever touched by its owning worker.
-  std::vector<Time>& scratch = group.ProbeScratch();
-  for (StreamId s = 0; s < kStreamCount; ++s) {
-    std::vector<Block> expired = mg.Part(s).ExpireBlocks(low_ts);
-    if (expired.empty()) continue;
-    std::size_t total = 0;
-    for (const Block& b : expired) total += b.Size();
-    group.AddCount(-static_cast<std::ptrdiff_t>(total));
-
-    // The paper's completeness rule: an expiring block joins the opposite
-    // head's fresh tuples on its way out (those tuples have not probed yet,
-    // and by the time they do this block's records will be gone).
-    auto opp_fresh = mg.Part(Opposite(s)).FreshRecords();
-    if (opp_fresh.empty()) continue;
-    const std::size_t cmp = total * opp_fresh.size();
-    ctx.comparisons += cmp;
-    c += cost_.CmpCost(cmp);
-    for (const Rec& f : opp_fresh) {
-      scratch.clear();
-      for (const Block& b : expired) {
-        for (const Rec& r : b.Records()) {
-          if (r.key == f.key && r.ts >= f.ts - window_ &&
-              r.ts <= f.ts + window_) {
-            scratch.push_back(r.ts);
-          }
-        }
-      }
-      if (!scratch.empty()) {
-        ctx.outputs += scratch.size();
-        ctx.sink->OnMatches(f, scratch, produced_at + c);
-      }
-    }
   }
   return c;
 }
@@ -325,6 +297,7 @@ std::unique_ptr<PartitionGroup> JoinModule::ExtractGroup(
   // here, before the move, so no result is lost or duplicated).
   PassCtx ctx;
   ctx.sink = sink_;
+  ctx.scratch = &serial_scratch_;
   cost = FlushGroupPartials(*g, from, ctx);
   FoldStats(ctx);
 

@@ -7,9 +7,11 @@
 //   3. when the head block fills -- or the input buffer drains -- run the
 //      batch join pass: fresh tuples of each stream probe the *sealed*
 //      records of the opposite stream (the paper's duplicate-elimination
-//      rule), are sealed, expired blocks leave the window (joining the
-//      opposite side's remaining fresh tuples on the way out for
-//      completeness), and the partition-tuning invariant is re-checked.
+//      rule) and are sealed, then expired blocks leave the window, and the
+//      partition-tuning invariant is re-checked. The paper's completeness
+//      rule -- an expiring block joins the opposite side's fresh tuples on
+//      its way out -- holds by construction: both streams probe and seal
+//      before any block expires, so no fresh tuple is left to join.
 //
 // All work is charged to a virtual work clock through the CostModel; the
 // block-nested-loop comparison count is exact (fresh x opposite-sealed per
@@ -158,12 +160,21 @@ class JoinModule {
   std::uint64_t WorkerBusyUs() const { return worker_busy_us_; }
 
  private:
+  /// Reusable buffers of the batched probe (MiniPartition::ProbeSealedBatch):
+  /// one fresh block's probes and the walk's match buffers. One per lane and
+  /// one for the serial path, so they do not grow with the group count.
+  struct ProbeScratch {
+    std::vector<MiniPartition::SealedProbe> probes;
+    MiniPartition::BatchScratch batch;
+  };
+
   /// Mutable state of one (possibly worker-local) batch-join pass: where
   /// matches go and what the pass tallied. Serial passes fold the tallies
   /// into the module totals when the public call returns; parallel passes
   /// fold after the barrier, keeping the hot path free of shared writes.
   struct PassCtx {
     JoinSink* sink = nullptr;
+    ProbeScratch* scratch = nullptr;
     std::uint64_t comparisons = 0;
     std::uint64_t outputs = 0;
     std::uint64_t processed = 0;
@@ -221,6 +232,7 @@ class JoinModule {
   struct WorkerLane {
     std::vector<PartitionId> pids;  ///< owned partitions, ascending
     StagingSink staging;
+    ProbeScratch scratch;
     PassCtx stats;
     Duration used = 0;
     std::size_t stop = 0;  ///< buffer index of its first unprocessed tuple
@@ -240,14 +252,9 @@ class JoinModule {
   /// against the opposite sealed records, seal, expire, re-tune). Returns the
   /// charged cost; `work_start` stamps the produced outputs. Re-entrant:
   /// touches only `group`, `mg`, and `ctx` (plus atomic obs counters), so
-  /// concurrent calls on distinct groups are safe.
+  /// concurrent calls on distinct groups with distinct scratches are safe.
   Duration FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
                           Time work_start, PassCtx& ctx);
-
-  /// Expires old blocks of `mg`, running the paper's expiring-block vs.
-  /// opposite-fresh completeness join. Returns the charged cost.
-  Duration ExpireMiniGroup(PartitionGroup& group, MiniGroup& mg, Time low_ts,
-                           Time produced_at, PassCtx& ctx);
 
   /// Flushes every mini-group of `group` that still holds fresh records.
   Duration FlushGroupPartials(PartitionGroup& group, Time from, PassCtx& ctx);
@@ -281,6 +288,7 @@ class JoinModule {
 
   WindowStore store_;
   std::deque<Rec> buffer_;
+  ProbeScratch serial_scratch_;  ///< the serial path's and migrations'
 
   std::uint64_t comparisons_ = 0;
   std::uint64_t outputs_ = 0;

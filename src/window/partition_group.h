@@ -125,11 +125,6 @@ class PartitionGroup {
   // disjoint state: each partition-group is processed by exactly one worker
   // per batch pass (see JoinModule), so none of this needs locking.
 
-  /// Reusable probe scratch: the timestamps of one probe's matches, for
-  /// MiniPartition::ProbeSealed and the expiry completeness join. Cleared
-  /// per probe, capacity retained.
-  std::vector<Time>& ProbeScratch() { return probe_scratch_; }
-
   /// Checkpoint journal: every record sealed into this group since the last
   /// TakeJournal (see JoinModule::EnableCheckpointJournal).
   void AppendJournal(std::span<const Rec> recs) {
@@ -161,7 +156,6 @@ class PartitionGroup {
   std::uint64_t merges_ = 0;
   obs::Counter* obs_splits_ = nullptr;
   obs::Counter* obs_merges_ = nullptr;
-  std::vector<Time> probe_scratch_;
   std::vector<Rec> journal_;
 };
 

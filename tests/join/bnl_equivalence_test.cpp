@@ -130,14 +130,16 @@ INSTANTIATE_TEST_SUITE_P(
 // (paper section IV-D): a match that is ONLY discoverable at expiry time.
 TEST(ExpiryJoinTest, ExpiringBlockJoinsOppositeFreshTuples) {
   const Duration window = 100;
-  // Stream 0: two tuples fill a 2-capacity block (sealed after flush).
-  // Stream 1: one fresh tuple arrives within window of the first block,
-  // then stream 0 traffic pushes the block out of the window while the
-  // stream-1 tuple is still fresh.
+  // Stream 0: two tuples fill a 2-capacity block A, which seals. Stream 1:
+  // one tuple within the window of block A stays fresh in its head. Then
+  // stream 0's next block fills, and its flush expires block A -- but only
+  // after both streams probed and sealed: the stream-1 tuple's ordinary
+  // probe of stream 0's sealed records yields both pairs first, so the
+  // paper's expiring-block join finds no fresh tuple left to join.
   std::vector<Rec> recs = {
       {10, 7, 0}, {20, 7, 0},   // block A fills and seals
       {90, 7, 1},               // fresh in stream 1's head (capacity 2)
-      {500, 3, 0}, {510, 3, 0}, // push time forward; expire block A
+      {500, 3, 0}, {510, 3, 0}, // this flush probes, seals, expires block A
   };
   auto expect = ReferenceSlidingJoin(recs, window);
   // (10,90) and (20,90) are within the window: the reference has them.
@@ -156,8 +158,8 @@ TEST(ExpiryJoinTest, ExpiringBlockJoinsOppositeFreshTuples) {
   JoinModule jm(cfg, &sink);
   // Feed one tuple at a time WITHOUT draining between them is impossible
   // through the public API (a drained buffer flushes partial heads), so
-  // enqueue everything at once: the stream-1 tuple stays fresh until the
-  // final drain, and block A expires during the later stream-0 flush.
+  // enqueue everything at once: the stream-1 tuple stays fresh until stream
+  // 0's second block fills, and that flush also expires block A.
   jm.EnqueueBatch(recs);
   jm.ProcessFor(0, 1000 * kUsPerSec);
   std::vector<JoinPair> got;

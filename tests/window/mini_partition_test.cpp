@@ -17,6 +17,28 @@ constexpr sjoin::Time kFarFuture = 9'000'000'000'000;
 
 Rec R(Time ts, std::uint64_t key, StreamId s = 0) { return Rec{ts, key, s}; }
 
+/// Timestamps of every record the partition holds, in temporal order.
+std::vector<Time> Timestamps(const MiniPartition& p) {
+  std::vector<Time> ts;
+  p.ForEachRecord([&](const Rec& r) { ts.push_back(r.ts); });
+  return ts;
+}
+
+/// Every probe's matches through the batched walk; checks that it emits
+/// each probe exactly once, in batch order.
+std::vector<std::vector<Time>> ProbeBatch(
+    const MiniPartition& p, std::span<const MiniPartition::SealedProbe> batch,
+    MiniPartition::BatchScratch& scratch) {
+  std::vector<std::vector<Time>> out;
+  p.ProbeSealedBatch(batch, scratch,
+                     [&](std::size_t i, std::span<const Time> matches) {
+                       EXPECT_EQ(i, out.size()) << "emitted out of order";
+                       out.emplace_back(matches.begin(), matches.end());
+                     });
+  EXPECT_EQ(out.size(), batch.size());
+  return out;
+}
+
 TEST(MiniPartitionTest, InsertedRecordsAreFreshUntilSealed) {
   std::vector<Time> scratch;  // ProbeSealed output
   MiniPartition p(4);
@@ -82,9 +104,9 @@ TEST(MiniPartitionTest, ExpireRemovesWholeOldBlocks) {
   p.Insert(R(20, 1));  // head block, stays
   EXPECT_EQ(p.BlockCount(), 3u);
 
-  auto expired = p.ExpireBlocks(/*low_ts=*/5);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0].MaxTs(), 2);
+  // The oldest block (ts 1, 2) leaves whole; the others survive in order.
+  ASSERT_EQ(p.ExpireBlocks(/*low_ts=*/5), 2u);
+  EXPECT_EQ(Timestamps(p), (std::vector<Time>{10, 11, 20}));
   EXPECT_EQ(p.TotalCount(), 3u);
   EXPECT_EQ(p.SealedCount(), 2u);
   // Expired records are no longer probe-visible.
@@ -97,8 +119,8 @@ TEST(MiniPartitionTest, HeadBlockNeverExpires) {
   p.Insert(R(2, 1));
   p.Seal();
   // Even with a watermark far past everything, the head block stays.
-  auto expired = p.ExpireBlocks(1'000'000);
-  EXPECT_TRUE(expired.empty());
+  EXPECT_EQ(p.ExpireBlocks(1'000'000), 0u);
+  EXPECT_EQ(Timestamps(p), (std::vector<Time>{1, 2}));
   EXPECT_EQ(p.TotalCount(), 2u);
 }
 
@@ -109,8 +131,10 @@ TEST(MiniPartitionTest, BlockExpiresOnlyWhenNewestRecordIsOld) {
   p.Seal();
   p.Insert(R(200, 1));
   // low_ts = 50: record at ts=1 is out of window but its block is not.
-  EXPECT_TRUE(p.ExpireBlocks(50).empty());
-  EXPECT_EQ(p.ExpireBlocks(150).size(), 1u);
+  EXPECT_EQ(p.ExpireBlocks(50), 0u);
+  EXPECT_EQ(Timestamps(p), (std::vector<Time>{1, 100, 200}));
+  EXPECT_EQ(p.ExpireBlocks(150), 2u);
+  EXPECT_EQ(Timestamps(p), (std::vector<Time>{200}));
 }
 
 TEST(MiniPartitionTest, ExpiryKeepsIndexConsistentAcrossManyBlocks) {
@@ -250,7 +274,9 @@ TEST(MiniPartitionTest, ReappearingKeyStopsAtExpiredLinks) {
     p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
     if (p.HeadFull()) p.Seal();
   }
-  ASSERT_EQ(p.ExpireBlocks(5).size(), 1u);  // key 7's block
+  ASSERT_EQ(p.ExpireBlocks(5), 4u);  // key 7's block
+  ASSERT_EQ(Timestamps(p).size(), 12u);  // ts 5..16 survive
+  ASSERT_EQ(Timestamps(p).front(), 5);
   EXPECT_TRUE(p.ProbeSealed(7, 0, kFarFuture, scratch).empty());
   for (Time t = 17; t <= 20; ++t) {
     p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
@@ -307,6 +333,105 @@ TEST(MiniPartitionTest, RingAndTableShrinkAfterBurst) {
   EXPECT_TRUE(p.ProbeSealed(1'000'000, 0, kFarFuture, scratch).empty());
 }
 
+TEST(MiniPartitionTest, BatchChainStopsAtBaseSeqWhenItsLinkIsReused) {
+  // A ring of 16 links and blocks of 4. Block A holds key 7 at seqs 0-2 and
+  // key 8 at seq 3; key 7 comes back at seq 4. Block A expires (base_seq 4)
+  // and seqs 16-19 (keys 201-204, one record each) reuse its link slots.
+  // Key 7's chain runs seq 4 -> seq 2, and key 8's slot still names seq 3:
+  // both walks must end at base_seq instead of reading seq 18's or 19's
+  // link out of the reused slot -- also for probes that start mid-batch.
+  MiniPartition p(4);
+  Time t = 0;
+  const auto add = [&](std::uint64_t key) {
+    p.Insert(R(++t, key));
+    if (p.HeadFull()) p.Seal();
+  };
+  for (int i = 0; i < 3; ++i) add(7);  // ts 1-3
+  add(8);                              // ts 4
+  add(7);                              // ts 5
+  for (std::uint64_t k = 101; k <= 111; ++k) add(k);  // ts 6-16
+  ASSERT_EQ(p.ExpireBlocks(5), 4u);                   // block A only
+  for (std::uint64_t k = 201; k <= 204; ++k) add(k);  // ts 17-20
+  ASSERT_EQ(p.IndexRingSize(), 16u);
+  ASSERT_EQ(p.SealedCount(), 16u);
+
+  const std::vector<std::pair<MiniPartition::SealedProbe, std::vector<Time>>>
+      cases = {{{7, 0, kFarFuture}, {5}},     {{8, 0, kFarFuture}, {}},
+               {{7, 5, 5}, {5}},              {{203, 0, kFarFuture}, {19}},
+               {{111, 0, kFarFuture}, {16}},  {{204, 0, kFarFuture}, {20}},
+               {{999, 0, kFarFuture}, {}}};
+  // Longer than the in-flight count, so most probes start as refills.
+  const std::size_t n = MiniPartition::kChainsInFlight * 2 + 3;
+  std::vector<MiniPartition::SealedProbe> batch;
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.push_back(cases[i % cases.size()].first);
+  }
+  MiniPartition::BatchScratch batch_scratch;
+  const auto out = ProbeBatch(p, batch, batch_scratch);
+  ASSERT_EQ(out.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(out[i], cases[i % cases.size()].second)
+        << "probe " << i << " key " << batch[i].key;
+  }
+}
+
+TEST(MiniPartitionTest, LongChainParksAndFinishesInOrder) {
+  // Key 5's chain is longer than a probe's interleaved share of matches, so
+  // its probes park and walk the rest alone when they emit; the short
+  // chains around them finish in the interleaved walk. Windows cut the
+  // long chain before, at and after the park point, on record timestamps.
+  constexpr std::size_t kShare = MiniPartition::kInterleavedMatches;
+  MiniPartition p(3);
+  std::vector<Time> long_ts;
+  Time t = 0;
+  for (std::size_t i = 0; i < 3 * kShare + 2; ++i) {
+    p.Insert(R(++t, 5));
+    long_ts.push_back(t);
+    if (p.HeadFull()) p.Seal();
+    if (i % 4 == 0) {
+      p.Insert(R(++t, 900 + i));  // a one-record chain
+      if (p.HeadFull()) p.Seal();
+    }
+  }
+  p.Seal();
+  const Time newest = long_ts.back();
+  const Time park = long_ts[long_ts.size() - kShare];  // newest share's oldest
+  std::vector<MiniPartition::SealedProbe> batch = {
+      {5, 0, kFarFuture},
+      {5, park, kFarFuture},
+      {5, park + 1, kFarFuture},
+      {5, park - 1, newest - 1},
+      {900, 0, kFarFuture},
+      {5, long_ts[3], long_ts[3 * kShare]},
+      {904, 0, kFarFuture},
+      {5, newest + 1, kFarFuture},
+      {77, 0, kFarFuture},
+  };
+  // Repeat past the in-flight count so parked probes start as refills too.
+  while (batch.size() <= MiniPartition::kChainsInFlight + 2) {
+    batch.push_back(batch[batch.size() % 9]);
+  }
+  std::vector<Time> scratch;
+  MiniPartition::BatchScratch batch_scratch;
+  const auto out = ProbeBatch(p, batch, batch_scratch);
+  ASSERT_EQ(out.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto& q = batch[i];
+    std::vector<Time> want;
+    p.ForEachRecord([&](const Rec& r) {
+      if (r.key == q.key && r.ts >= q.min_ts && r.ts <= q.max_ts) {
+        want.push_back(r.ts);
+      }
+    });
+    EXPECT_EQ(out[i], want) << "probe " << i << " key " << q.key << " ["
+                            << q.min_ts << ", " << q.max_ts << "]";
+    const auto one = p.ProbeSealed(q.key, q.min_ts, q.max_ts, scratch);
+    EXPECT_EQ(std::vector<Time>(one.begin(), one.end()), want)
+        << "single probe " << i;
+  }
+  EXPECT_EQ(out[0].size(), long_ts.size());
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz: random Insert / Seal / ExpireBlocks / InstallSealed
 // sequences over hot and cold keys with repeated timestamps, checked after
@@ -318,9 +443,20 @@ struct ModelRec {
   bool sealed = false;
 };
 
+/// A probe and the brute-force model's answer to it.
+struct ModelProbe {
+  MiniPartition::SealedProbe probe;
+  std::vector<Time> want;
+};
+
+/// `ever_keys` lists every key inserted so far (with repeats): the check
+/// also probes a few of them, most of whose records have expired (dead
+/// keys, whose table slots outlive their records until a rebuild).
 void CheckAgainstModel(const MiniPartition& p,
-                       const std::deque<ModelRec>& model, Pcg32& rng,
-                       std::vector<Time>& scratch) {
+                       const std::deque<ModelRec>& model,
+                       const std::vector<std::uint64_t>& ever_keys,
+                       Pcg32& rng, std::vector<Time>& scratch,
+                       MiniPartition::BatchScratch& batch_scratch) {
   // Every key's sealed timestamps in arrival order, plus keys to probe
   // that have no sealed record at all.
   std::map<std::uint64_t, std::vector<Time>> sealed_by_key = {
@@ -335,6 +471,10 @@ void CheckAgainstModel(const MiniPartition& p,
       ++sealed;
     }
   }
+  for (int i = 0; i < 8 && !ever_keys.empty(); ++i) {
+    sealed_by_key.try_emplace(ever_keys[rng.NextBounded(
+        static_cast<std::uint32_t>(ever_keys.size()))]);
+  }
   ASSERT_EQ(p.TotalCount(), model.size());
   ASSERT_EQ(p.SealedCount(), sealed);
   ASSERT_EQ(p.FreshCount(), model.size() - sealed);
@@ -342,19 +482,58 @@ void CheckAgainstModel(const MiniPartition& p,
   const Time lo = model.empty() ? 0 : model.front().rec.ts;
   const Time hi = model.empty() ? 0 : model.back().rec.ts;
   const auto span = static_cast<std::uint32_t>(hi - lo + 2);
+  std::vector<ModelProbe> probes;
   for (const auto& [key, all] : sealed_by_key) {
-    // The whole window, then a random sub-window (possibly empty).
+    // The whole window, a random sub-window (possibly empty), and one
+    // whose edges are timestamps of the key's records (else of any).
     const Time a = lo + static_cast<Time>(rng.NextBounded(span));
     const Time b = a + static_cast<Time>(rng.NextBounded(span));
-    for (auto [min_ts, max_ts] : {std::pair<Time, Time>{0, kFarFuture},
-                                  std::pair<Time, Time>{a, b}}) {
-      std::vector<Time> want;
+    const std::vector<Time> edges = all.empty() ? std::vector<Time>{lo, hi}
+                                                : all;
+    const auto pick_edge = [&] {
+      return edges[rng.NextBounded(static_cast<std::uint32_t>(edges.size()))];
+    };
+    const Time e0 = pick_edge();
+    const Time e1 = pick_edge();
+    for (auto [min_ts, max_ts] :
+         {std::pair<Time, Time>{0, kFarFuture}, std::pair<Time, Time>{a, b},
+          std::pair<Time, Time>{std::min(e0, e1), std::max(e0, e1)}}) {
+      ModelProbe mp{{key, min_ts, max_ts}, {}};
       for (Time ts : all) {
-        if (ts >= min_ts && ts <= max_ts) want.push_back(ts);
+        if (ts >= min_ts && ts <= max_ts) mp.want.push_back(ts);
       }
       const auto got = p.ProbeSealed(key, min_ts, max_ts, scratch);
-      ASSERT_EQ(std::vector<Time>(got.begin(), got.end()), want)
+      ASSERT_EQ(std::vector<Time>(got.begin(), got.end()), mp.want)
           << "key=" << key << " window=[" << min_ts << ", " << max_ts << "]";
+      probes.push_back(std::move(mp));
+    }
+  }
+
+  // The same probes through the batched walk, in random order, at batch
+  // sizes 0, 1, around the in-flight count and all of them; a batch longer
+  // than the list repeats probes. The batch scratch carries over from every
+  // earlier check, so no probe may read a stale walk's state.
+  for (std::size_t i = probes.size() - 1; i > 0; --i) {
+    std::swap(probes[i], probes[rng.NextBounded(
+                             static_cast<std::uint32_t>(i + 1))]);
+  }
+  constexpr std::size_t kInFlight = MiniPartition::kChainsInFlight;
+  std::vector<MiniPartition::SealedProbe> batch;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, kInFlight - 1,
+                        kInFlight, kInFlight + 1, probes.size()}) {
+    const std::size_t first =
+        rng.NextBounded(static_cast<std::uint32_t>(probes.size()));
+    batch.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(probes[(first + i) % probes.size()].probe);
+    }
+    const auto out = ProbeBatch(p, batch, batch_scratch);
+    ASSERT_EQ(out.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ModelProbe& mp = probes[(first + i) % probes.size()];
+      ASSERT_EQ(out[i], mp.want)
+          << "batch of " << n << ", probe " << i << ": key=" << mp.probe.key
+          << " window=[" << mp.probe.min_ts << ", " << mp.probe.max_ts << "]";
     }
   }
 }
@@ -368,7 +547,9 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
     const std::size_t cap = caps[rng.NextBounded(5)];
     MiniPartition p(cap);
     std::deque<ModelRec> model;
+    std::vector<std::uint64_t> ever_keys;
     std::vector<Time> scratch;
+    MiniPartition::BatchScratch batch_scratch;
     Time ts = 0;
     std::uint64_t next_cold = 1000;
     // Hot keys 0-3 repeat constantly; cold keys come from a wide range
@@ -389,6 +570,7 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
       advance();
       p.Insert(R(ts, key));
       model.push_back(ModelRec{R(ts, key), false});
+      ever_keys.push_back(key);
     };
     auto seal = [&] {
       p.Seal();
@@ -402,19 +584,18 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
              model[expect + cap - 1].rec.ts < low_ts) {
         expect += cap;
       }
-      const std::vector<Block> gone = p.ExpireBlocks(low_ts);
-      std::size_t n = 0;
-      for (const Block& b : gone) {
-        for (const Rec& r : b.Records()) {
-          ASSERT_LT(n, model.size());
-          ASSERT_EQ(r, model[n].rec);
-          ASSERT_TRUE(model[n].sealed);
-          ++n;
-        }
-      }
-      ASSERT_EQ(n, expect);
+      ASSERT_EQ(p.ExpireBlocks(low_ts), expect);
+      for (std::size_t n = 0; n < expect; ++n) ASSERT_TRUE(model[n].sealed);
       model.erase(model.begin(),
-                  model.begin() + static_cast<std::ptrdiff_t>(n));
+                  model.begin() + static_cast<std::ptrdiff_t>(expect));
+      // The survivors are exactly the model's remaining records, in order.
+      std::size_t n = 0;
+      p.ForEachRecord([&](const Rec& r) {
+        ASSERT_LT(n, model.size());
+        ASSERT_EQ(r, model[n].rec);
+        ++n;
+      });
+      ASSERT_EQ(n, model.size());
     };
 
     for (int step = 0; step < 400; ++step) {
@@ -430,6 +611,7 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
         const std::uint64_t key = pick_key();
         p.InstallSealed(R(ts, key));
         model.push_back(ModelRec{R(ts, key), true});
+        ever_keys.push_back(key);
       } else if (op < 93) {
         // A window lagging the newest record by 0-40 time units.
         expire(ts - static_cast<Time>(rng.NextBounded(40)));
@@ -443,7 +625,7 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
         // every key that comes back restarts its chain.
         expire(kFarFuture);
       }
-      CheckAgainstModel(p, model, rng, scratch);
+      CheckAgainstModel(p, model, ever_keys, rng, scratch, batch_scratch);
       if (HasFatalFailure()) return;
     }
   }

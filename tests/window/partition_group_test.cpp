@@ -121,15 +121,26 @@ TEST(PartitionGroupTest, MergeAfterShrinking) {
   g2.MaybeTune(recs2[0].key);
   ASSERT_GT(g2.MiniGroupCount(), 1u);
 
-  // Drain: expire as much as possible from each mini-partition.
+  // Drain: expire as much as possible from each mini-partition. Only the
+  // head block of each may survive, and the group's count follows.
   g2.ForEachMiniGroup([&](MiniGroup& mg) {
     for (StreamId s = 0; s < kStreamCount; ++s) {
-      auto expired = mg.Part(s).ExpireBlocks(1'000'000'000);
-      std::size_t n = 0;
-      for (const Block& b : expired) n += b.Size();
+      MiniPartition& part = mg.Part(s);
+      const std::size_t held = part.TotalCount();
+      const std::size_t n = part.ExpireBlocks(1'000'000'000);
+      EXPECT_EQ(part.TotalCount(), held - n);
+      std::size_t survivors = 0;
+      part.ForEachRecord([&](const Rec&) { ++survivors; });
+      EXPECT_EQ(survivors, held - n);
+      EXPECT_LE(survivors, g2.BlockCapacity());
       g2.AddCount(-static_cast<std::ptrdiff_t>(n));
     }
   });
+  std::size_t left = 0;
+  g2.ForEachMiniGroup([&](MiniGroup& mg) {
+    left += mg.Part(0).TotalCount() + mg.Part(1).TotalCount();
+  });
+  EXPECT_EQ(g2.TotalCount(), left);
   std::size_t before = g2.MiniGroupCount();
   g2.MaybeTune(recs2[0].key);
   EXPECT_LE(g2.MiniGroupCount(), before);
