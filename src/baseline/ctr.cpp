@@ -38,8 +38,9 @@ RunMetrics RunCtr(const SystemConfig& cfg, const CtrOptions& opts) {
                       cfg.workload.key_domain, cfg.workload.seed);
   std::vector<CtrNode> nodes(n);
   for (CtrNode& node : nodes) {
-    node.window[0] = std::make_unique<MiniPartition>(block_cap);
-    node.window[1] = std::make_unique<MiniPartition>(block_cap);
+    for (StreamId s = 0; s < kStreamCount; ++s) {
+      node.window[s] = std::make_unique<MiniPartition>(block_cap, s);
+    }
   }
 
   RunMetrics rm;

@@ -1355,12 +1355,17 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   // processed) is stable: it advances to epochs_done * t_dist at each batch
   // drain. The queue depths are kVolatile -- *when* a frame lands in the
   // inbox races against wall scheduling -- so they appear in end-of-run
-  // exports but never in recorder snapshots or kMetrics frames.
+  // exports but never in recorder snapshots or kMetrics frames. The bytes
+  // the window's storage allocates, set after each batch, are kVolatile too,
+  // so the gauge adds nothing to either (the paper's window-size figure,
+  // records x tuple bytes, is what they carry).
   obs::Gauge& g_watermark = reg.GetGauge("watermark_vt_us");
   obs::Gauge& g_queue =
       reg.GetGauge("work_queue_depth", {}, obs::Stability::kVolatile);
   obs::Gauge& g_inbox =
       reg.GetGauge("inbox_tuples", {}, obs::Stability::kVolatile);
+  obs::Gauge& g_window_storage =
+      reg.GetGauge("window_storage_bytes", {}, obs::Stability::kVolatile);
 
   WallClock clock;
   std::atomic<Time> clock_offset{0};  // master_time - local_time
@@ -1644,6 +1649,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       sync_join_counters();
       inbox_tuples.fetch_sub(std::min<std::size_t>(
           static_cast<std::size_t>(done), inbox_tuples.load()));
+      g_window_storage.Set(static_cast<double>(join.Store().StorageBytes()));
       flush_stats();
       // Epoch boundary on this slave's logical timeline: snapshot the
       // recorder and ship the stable families to the master as kMetrics.

@@ -208,30 +208,30 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
   // exactly once (the paper's duplicate-elimination rule). The whole batch
   // probes in one interleaved walk, which emits in fresh order.
   for (StreamId s = 0; s < kStreamCount; ++s) {
-    auto fresh = mg.Part(s).FreshRecords();
-    if (fresh.empty()) continue;
-    tune_key = fresh.front().key;
+    MiniPartition& part = mg.Part(s);
+    const std::size_t fresh = part.FreshCount();
+    if (fresh == 0) continue;
+    tune_key = part.FreshRecord(0).key;
     have_key = true;
     const MiniPartition& opp = mg.Part(Opposite(s));
-    const std::size_t cmp = fresh.size() * opp.SealedCount();
+    const std::size_t cmp = fresh * opp.SealedCount();
     ctx.comparisons += cmp;
     c += cost_.CmpCost(cmp);
     const Time produced_at = work_start + c;
     scratch.probes.clear();
-    for (const Rec& r : fresh) {
+    for (std::size_t i = 0; i < fresh; ++i) {
+      const Rec r = part.FreshRecord(i);
       scratch.probes.push_back({r.key, r.ts - window_, r.ts + window_});
+      if (journal_enabled_) group.AppendJournal(r);
     }
     opp.ProbeSealedBatch(
         scratch.probes, scratch.batch,
         [&](std::size_t i, std::span<const Time> partners) {
           if (partners.empty()) return;
           ctx.outputs += partners.size();
-          ctx.sink->OnMatches(fresh[i], partners, produced_at);
+          ctx.sink->OnMatches(part.FreshRecord(i), partners, produced_at);
         });
-    if (journal_enabled_) {
-      group.AppendJournal(fresh);
-    }
-    mg.Part(s).Seal();
+    part.Seal();
   }
 
   // Both streams have probed and sealed, so no fresh tuple is left for an

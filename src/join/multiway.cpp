@@ -19,7 +19,8 @@ MultiwayJoinModule::MultiwayJoinModule(std::vector<Duration> windows,
   assert(sink != nullptr);
   parts_.reserve(windows_.size());
   for (std::size_t k = 0; k < windows_.size(); ++k) {
-    parts_.push_back(std::make_unique<MiniPartition>(block_capacity));
+    parts_.push_back(std::make_unique<MiniPartition>(
+        block_capacity, static_cast<StreamId>(k)));
   }
   probe_scratch_.resize(windows_.size());
 }

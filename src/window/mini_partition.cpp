@@ -11,53 +11,64 @@ namespace sjoin {
 
 namespace {
 
-/// Smallest ring / table allocated at the first seal.
+/// Smallest key table allocated at the first seal.
 constexpr std::size_t kMinIndexSize = 16;
+/// Smallest block-pointer ring allocated at the first insert.
+constexpr std::size_t kMinRingSize = 4;
 
 }  // namespace
 
-MiniPartition::MiniPartition(std::size_t block_capacity)
-    : block_capacity_(block_capacity) {
+MiniPartition::MiniPartition(std::size_t block_capacity, StreamId stream)
+    : block_capacity_(block_capacity),
+      stream_(stream),
+      seq_shift_(static_cast<unsigned>(std::bit_width(block_capacity - 1))) {
   assert(block_capacity > 0);
 }
 
-Block& MiniPartition::HeadBlock() {
-  if (blocks_.empty() || blocks_.back().Full()) {
-    blocks_.emplace_back(block_capacity_);
+void MiniPartition::AppendBlock() {
+  if (BlockCount() == ring_.size()) {
+    ResizeRing(std::max(ring_.size() * 2, kMinRingSize));
   }
-  return blocks_.back();
+  ring_[next_block_ & (ring_.size() - 1)] =
+      std::make_unique_for_overwrite<std::byte[]>(
+          block_capacity_ * (sizeof(Link) + sizeof(std::uint64_t)));
+  ++next_block_;
+  head_size_ = 0;
+}
+
+void MiniPartition::ResizeRing(std::size_t capacity) {
+  std::vector<BlockPtr> next(capacity);
+  for (std::uint64_t b = base_block_; b < next_block_; ++b) {
+    next[b & (capacity - 1)] = std::move(ring_[b & (ring_.size() - 1)]);
+  }
+  ring_.swap(next);
 }
 
 void MiniPartition::Insert(const Rec& rec) {
   assert(rec.ts >= max_seen_ts_);
+  assert(rec.stream == stream_);
   assert(!HeadFull() && "seal a full head before inserting more");
-  HeadBlock().Append(rec);
+  if (BlockCount() == 0 || head_size_ == block_capacity_) {
+    AppendBlock();
+  }
+  const std::uint64_t head = next_block_ - 1;
+  LinksOf(head)[head_size_] = Link{rec.ts, 0};
+  KeysOf(head)[head_size_] = rec.key;
+  ++head_size_;
+  ++fresh_;
   ++total_count_;
   max_seen_ts_ = rec.ts;
 }
 
-bool MiniPartition::HeadFull() const {
-  return !blocks_.empty() && blocks_.back().Full() &&
-         blocks_.back().FreshCount() > 0;
-}
-
-std::span<const Rec> MiniPartition::FreshRecords() const {
-  if (blocks_.empty()) return {};
-  return blocks_.back().FreshRecords();
-}
-
-std::size_t MiniPartition::FreshCount() const {
-  return blocks_.empty() ? 0 : blocks_.back().FreshCount();
-}
-
 void MiniPartition::Seal() {
-  if (blocks_.empty()) return;
-  Block& head = blocks_.back();
-  const std::span<const Rec> fresh = head.FreshRecords();
-  if (fresh.empty()) return;
-  ReserveLinks(fresh.size());
-  for (const Rec& rec : fresh) IndexRecord(rec);
-  head.MarkJoined();
+  if (fresh_ == 0) return;
+  const std::uint64_t head = next_block_ - 1;
+  Link* links = LinksOf(head);
+  const std::uint64_t* keys = KeysOf(head);
+  for (std::size_t j = head_size_ - fresh_; j < head_size_; ++j) {
+    IndexRecord(keys[j], (head << seq_shift_) + j, links[j]);
+  }
+  fresh_ = 0;
 }
 
 std::size_t MiniPartition::HomeSlot(std::uint64_t key) const {
@@ -74,52 +85,37 @@ std::size_t MiniPartition::FindSlot(std::uint64_t key) const {
   return i;
 }
 
-void MiniPartition::IndexRecord(const Rec& rec) {
+void MiniPartition::IndexRecord(std::uint64_t key, std::uint64_t seq,
+                                Link& link) {
   if (slots_.empty()) RebuildTable(1);
-  std::size_t i = FindSlot(rec.key);
+  std::size_t i = FindSlot(key);
   if (slots_[i].top == 0) {
     // A new key claims an empty slot; rebuild first at 3/4 load.
     if ((used_slots_ + 1) * 4 > slots_.size() * 3) {
       RebuildTable(1);
-      i = FindSlot(rec.key);
+      i = FindSlot(key);
     }
-    slots_[i].key = rec.key;
+    slots_[i].key = key;
     ++used_slots_;
   }
   // A dead key's stale `top` is harmless as `prev`: chains stop below
   // base_seq_, and base_seq_ only grows.
-  const std::uint64_t seq = next_seq_++;
-  Slot& slot = slots_[i];
-  links_[seq & (links_.size() - 1)] = Link{rec.ts, slot.top};
-  slot.top = seq + 1;
-}
-
-void MiniPartition::ReserveLinks(std::size_t n) {
-  const std::size_t need = SealedCount() + n;
-  if (need > links_.size()) {
-    ResizeLinks(std::bit_ceil(std::max(need, kMinIndexSize)));
-  }
-}
-
-void MiniPartition::ResizeLinks(std::size_t capacity) {
-  std::vector<Link> next(capacity);
-  if (!links_.empty()) {
-    const std::size_t old_mask = links_.size() - 1;
-    for (std::uint64_t s = base_seq_; s < next_seq_; ++s) {
-      next[s & (capacity - 1)] = links_[s & old_mask];
-    }
-  }
-  links_.swap(next);
+  link.prev = slots_[i].top;
+  slots_[i].top = seq + 1;
 }
 
 void MiniPartition::RebuildTable(std::size_t extra) {
-  const std::size_t live = IndexKeyCount();
-  std::vector<Slot> old(
-      std::bit_ceil(std::max((live + extra) * 2, kMinIndexSize)));
+  // One pass over the old table moves its live slots, in table order, to
+  // its front; the new table is sized from their count and filled from
+  // there in the same order.
+  std::vector<Slot> old;
   old.swap(slots_);
-  for (const Slot& s : old) {
-    if (s.top > base_seq_) slots_[FindSlot(s.key)] = s;  // skip empty, dead
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < old.size(); ++i) {
+    if (old[i].top > base_seq_) old[live++] = old[i];  // skip empty, dead
   }
+  slots_.resize(std::bit_ceil(std::max((live + extra) * 2, kMinIndexSize)));
+  for (std::size_t i = 0; i < live; ++i) slots_[FindSlot(old[i].key)] = old[i];
   used_slots_ = live;
 }
 
@@ -144,16 +140,18 @@ void MiniPartition::WalkInterleaved(std::span<const SealedProbe> probes,
     std::fill_n(stops, probes.size(), BatchScratch::ChainStop{});
     return;
   }
-  const std::size_t link_mask = links_.size() - 1;
-  const auto link_at = [&](std::uint64_t top) -> const Link& {
-    return links_[(top - 1) & link_mask];
+  const std::uint64_t slot_mask = (std::uint64_t{1} << seq_shift_) - 1;
+  const auto link_at = [&](std::uint64_t top) {
+    return LinksOf((top - 1) >> seq_shift_) + ((top - 1) & slot_mask);
   };
 
-  // An in-flight probe: which one, seq + 1 of the next link to read, and
-  // the matches it has collected.
+  // An in-flight probe: which one, seq + 1 of the next link to read, that
+  // link's address (looked up once, when it is prefetched), and the matches
+  // it has collected.
   struct Chain {
     std::size_t probe = 0;
     std::uint64_t top = 0;
+    const Link* link = nullptr;
     std::size_t count = 0;
   };
   std::size_t next = 0;         // the next probe to start
@@ -170,8 +168,8 @@ void MiniPartition::WalkInterleaved(std::span<const SealedProbe> probes,
       }
       const std::uint64_t top = slots_[FindSlot(probes[next].key)].top;
       if (top > base_seq_) {
-        c = Chain{next++, top, 0};
-        __builtin_prefetch(&link_at(top));
+        c = Chain{next++, top, link_at(top), 0};
+        __builtin_prefetch(c.link);
         return true;
       }
       stops[next] = BatchScratch::ChainStop{};  // no live record of the key
@@ -186,7 +184,7 @@ void MiniPartition::WalkInterleaved(std::span<const SealedProbe> probes,
     for (std::size_t k = 0; k < live;) {
       Chain& c = chains[k];
       const SealedProbe& p = probes[c.probe];
-      const Link& l = link_at(c.top);
+      const Link& l = *c.link;
       // Newest to oldest: timestamps fall along the chain, so the walk
       // stops at the window's lower edge or at the first expired seq.
       c.top = 0;
@@ -197,7 +195,8 @@ void MiniPartition::WalkInterleaved(std::span<const SealedProbe> probes,
         if (l.prev > base_seq_) c.top = l.prev;
       }
       if (c.top != 0 && c.count < kInterleavedMatches) {
-        __builtin_prefetch(&link_at(c.top));
+        c.link = link_at(c.top);
+        __builtin_prefetch(c.link);
         ++k;
         continue;
       }
@@ -214,9 +213,24 @@ void MiniPartition::WalkInterleaved(std::span<const SealedProbe> probes,
 
 void MiniPartition::WalkRest(const SealedProbe& p, std::uint64_t top,
                              std::vector<Time>& out) const {
-  const std::size_t link_mask = links_.size() - 1;
-  while (top > base_seq_) {
-    const Link& l = links_[(top - 1) & link_mask];
+  // A parked chain is a hot key's, whose records sit close together, so it
+  // stays in one block for several links: the ring is read again only when
+  // the walk leaves the block, and within it a link's slot is `top` less
+  // the block's first seq + 1.
+  const std::uint64_t base = base_seq_;
+  std::uint64_t first_top = 0;  // the current block's first seq + 1
+  std::uint64_t size = 0;       // its capacity; 0 before the first block
+  const Link* links = nullptr;
+  while (top > base) {
+    std::uint64_t slot = top - first_top;
+    if (slot >= size) {
+      const std::uint64_t block = (top - 1) >> seq_shift_;
+      first_top = (block << seq_shift_) + 1;
+      size = block_capacity_;
+      links = LinksOf(block);
+      slot = top - first_top;
+    }
+    const Link& l = links[slot];
     if (l.ts < p.min_ts) break;
     if (l.ts <= p.max_ts) out.push_back(l.ts);
     top = l.prev;
@@ -244,39 +258,40 @@ std::size_t MiniPartition::IndexKeyCount() const {
                     [&](const Slot& s) { return s.top > base_seq_; }));
 }
 
+std::size_t MiniPartition::StorageBytes() const {
+  return BlockCount() * block_capacity_ *
+             (sizeof(Link) + sizeof(std::uint64_t)) +
+         ring_.size() * sizeof(BlockPtr) + slots_.size() * sizeof(Slot);
+}
+
 std::size_t MiniPartition::ExpireBlocks(Time low_ts) {
   std::size_t expired = 0;
   // The head block never expires: it is the insertion point and its fresh
   // records have not probed yet. Every other block is full and sealed, so
   // its records are the oldest live seqs.
-  while (blocks_.size() > 1 && blocks_.front().MaxTs() < low_ts) {
-    expired += blocks_.front().Size();
-    blocks_.pop_front();
+  while (BlockCount() > 1 &&
+         LinksOf(base_block_)[block_capacity_ - 1].ts < low_ts) {
+    ring_[base_block_ & (ring_.size() - 1)].reset();
+    ++base_block_;
+    expired += block_capacity_;
   }
-  base_seq_ += expired;
+  base_seq_ = base_block_ << seq_shift_;
   total_count_ -= expired;
-  // Shrink each array once live records fall below 1/8 of it (live keys
-  // never outnumber live records), so a burst does not pin its memory.
-  const std::size_t live = SealedCount();
-  if (links_.size() > kMinIndexSize && live * 8 < links_.size()) {
-    ResizeLinks(std::bit_ceil(std::max(live * 2, kMinIndexSize)));
+  // Shrink each array once its live share falls below 1/8 (live keys never
+  // outnumber live sealed records), so a burst does not pin its memory.
+  if (ring_.size() > kMinRingSize && BlockCount() * 8 < ring_.size()) {
+    ResizeRing(std::bit_ceil(std::max(BlockCount() * 2, kMinRingSize)));
   }
-  if (slots_.size() > kMinIndexSize && live * 8 < slots_.size()) {
+  if (slots_.size() > kMinIndexSize && SealedCount() * 8 < slots_.size()) {
     RebuildTable(0);
   }
   return expired;
 }
 
 void MiniPartition::InstallSealed(const Rec& rec) {
-  assert(rec.ts >= max_seen_ts_);
   assert(FreshCount() == 0 && "installing would seal fresh records unindexed");
-  Block& head = HeadBlock();
-  head.Append(rec);
-  head.MarkJoined();
-  ReserveLinks(1);
-  IndexRecord(rec);
-  ++total_count_;
-  max_seen_ts_ = rec.ts;
+  Insert(rec);
+  Seal();
 }
 
 }  // namespace sjoin

@@ -15,16 +15,21 @@
 // (`SealedCount()`) to the virtual clock. tests/join/bnl_equivalence_test.cpp
 // proves output- and cost-equivalence against the reference BNL join.
 //
-// Index layout (a hash chain over sequence-numbered records). Every sealed
-// record gets the next running sequence number `seq`; sealing follows
-// arrival order, so seq order is timestamp order, and the live sealed
-// records are exactly the seqs [base_seq, next_seq). Two flat arrays hold
-// the index, both power-of-two sized and allocated at the first seal:
-//   * a linear-probing table of 16-byte slots {key, newest sealed seq + 1}
-//     (0 marks an empty slot);
-//   * a ring of 16-byte links {ts, seq + 1 of the key's previous sealed
-//     record}, one per live sealed record, stored at seq & (ring size - 1).
-// A probe walks one key's chain from its newest record towards older ones.
+// Storage layout: the blocks are the only store of a record. Each block is
+// one allocation of `capacity` chain links {ts, seq + 1 of the key's
+// previous sealed record}, then their `capacity` keys (24 bytes a record,
+// no stream byte: a partition holds one stream). Every record gets a
+// sequence number from its place: block n's records are the seqs from
+// n * 2^k on, where 2^k is the block capacity rounded up to a power of two,
+// so a capacity like 3 still finds a seq's block by a shift and its slot by
+// a mask. A small power-of-two ring of block pointers, indexed by block
+// number, maps a seq to its block; the live records are the seqs from
+// base_seq (the oldest live block's first) to the head block's newest.
+// A linear-probing table of 16-byte slots {key, newest sealed seq + 1}
+// (0 marks an empty slot) starts each key's chain, and a probe walks it
+// from the newest record towards older ones. A record's link gets its
+// `prev` when the record is sealed, so chains only hold sealed records;
+// sealing follows arrival order, so seq order is timestamp order.
 //
 // Probes walk their chains interleaved. On a busy slave the index is far
 // larger than a core's L2 cache, so nearly every link a probe reads misses
@@ -32,38 +37,41 @@
 // each miss in turn. ProbeSealedBatch keeps kChainsInFlight probes in
 // flight, in the style of AMAC (Kocberber et al., "Asynchronous Memory
 // Access Chaining", VLDB 2015): each in-flight probe is a state {probe
-// index, next seq, matches so far}; every round advances each chain by one
-// link and prefetches its next link; a finished probe is replaced at once by
-// the next one, whose home slot was prefetched kChainsInFlight probes ahead.
-// A probe holds at most kInterleavedMatches matches in the interleaved walk:
-// a longer chain parks there and walks its rest alone when its probe's turn
-// to emit comes, so a batch buffers a bounded slice per probe plus one whole
-// chain, not every probe's full match list (a hot key's chain can span a
-// whole window). Probes emit in batch order with their matches ascending, so
+// index, next seq, that seq's link address, matches so far}; every round
+// advances each chain by one link and prefetches its next link, whose
+// address it looks up in the ring then; a finished probe is replaced at once
+// by the next one, whose home slot was prefetched kChainsInFlight probes
+// ahead. A probe holds at most kInterleavedMatches matches in the
+// interleaved walk: a longer chain parks there and walks its rest alone when
+// its probe's turn to emit comes, reading the ring only when it leaves a
+// block, so a batch buffers a bounded slice per probe plus one whole chain,
+// not every probe's full match list (a hot key's chain can span a whole
+// window). Probes emit in batch order with their matches ascending, so
 // the result is the same as one walk at a time.
-// Seal is not interleaved: per record it reads one slot and writes one link
-// at the ring's sequential tail, and successive records' slot reads do not
-// depend on each other, so the core already overlaps their misses (a
+// Seal is not interleaved: per record it reads one slot and writes the
+// `prev` of one link in the head block, and successive records' slot reads
+// do not depend on each other, so the core already overlaps their misses (a
 // look-ahead slot prefetch there measured within noise).
 //
 // Expiry is lazy and block-granular, as the paper's window is: whole blocks
-// leave in arrival order, so ExpireBlocks only advances base_seq by their
-// sizes and touches no index entry. A chain ends at the first seq below
-// base_seq (its link slot may already hold a newer record), and a slot
-// whose newest seq is below base_seq is a dead key: the same key's next
-// seal reuses it, and a rebuild at 3/4 table load keeps only live keys.
-// Once the live sealed records fall below 1/8 of either array, that array
-// shrinks, so a burst of keys does not pin its memory afterwards.
+// leave in arrival order, so ExpireBlocks frees them, advances base_seq past
+// them and touches no index entry. A chain ends at the first seq below
+// base_seq (that seq's ring entry may already hold a newer block), and a
+// slot whose newest seq is below base_seq is a dead key: the same key's
+// next seal reuses it, and a rebuild at 3/4 table load keeps only live keys.
+// Once the live blocks fall below 1/8 of the ring, or the live sealed
+// records below 1/8 of the table, that array shrinks, so a burst of keys
+// does not pin its memory afterwards.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "common/time.h"
-#include "tuple/block.h"
 #include "tuple/tuple.h"
 
 namespace sjoin {
@@ -111,22 +119,31 @@ class MiniPartition {
     std::vector<Time> rest_;        ///< a parked probe's whole match list
   };
 
-  explicit MiniPartition(std::size_t block_capacity);
+  /// A partition of stream `stream`'s records, in blocks of
+  /// `block_capacity` records.
+  MiniPartition(std::size_t block_capacity, StreamId stream);
 
   // -- Ingest ---------------------------------------------------------------
 
-  /// Appends an arriving record to the head block as *fresh* (not yet
-  /// visible to probes). Records must arrive in non-decreasing ts order, and
-  /// a full head must be sealed before the next insert (fresh records only
-  /// ever live in the head block).
+  /// Appends an arriving record of this partition's stream to the head
+  /// block as *fresh* (not yet visible to probes). Records must arrive in
+  /// non-decreasing ts order, and a full head must be sealed before the next
+  /// insert (fresh records only ever live in the head block).
   void Insert(const Rec& rec);
 
   /// True when the head block is full and a join pass is due.
-  bool HeadFull() const;
+  bool HeadFull() const {
+    return head_size_ == block_capacity_ && fresh_ > 0;
+  }
 
   /// Records inserted since the last Seal() (the paper's fresh tuples).
-  std::span<const Rec> FreshRecords() const;
-  std::size_t FreshCount() const;
+  std::size_t FreshCount() const { return fresh_; }
+  /// Fresh record `i`, oldest first (i < FreshCount()).
+  Rec FreshRecord(std::size_t i) const {
+    const std::size_t j = head_size_ - fresh_ + i;
+    const std::uint64_t head = next_block_ - 1;
+    return Rec{LinksOf(head)[j].ts, KeysOf(head)[j], stream_};
+  }
 
   /// Seals every fresh record: marks it joined and enters it into the probe
   /// index. Call after the fresh batch has probed the opposite side.
@@ -169,9 +186,7 @@ class MiniPartition {
 
   /// Number of sealed records a BNL probe would scan (the comparison count
   /// charged per probe tuple).
-  std::size_t SealedCount() const {
-    return static_cast<std::size_t>(next_seq_ - base_seq_);
-  }
+  std::size_t SealedCount() const { return total_count_ - fresh_; }
 
   // -- Expiry ---------------------------------------------------------------
 
@@ -182,7 +197,10 @@ class MiniPartition {
   // -- Introspection / state movement ----------------------------------------
 
   std::size_t TotalCount() const { return total_count_; }
-  std::size_t BlockCount() const { return blocks_.size(); }
+  /// Live blocks, the head block included.
+  std::size_t BlockCount() const {
+    return static_cast<std::size_t>(next_block_ - base_block_);
+  }
   Time MaxSeenTs() const { return max_seen_ts_; }
 
   /// Distinct keys with at least one live sealed record (a table scan; for
@@ -190,14 +208,23 @@ class MiniPartition {
   std::size_t IndexKeyCount() const;
   /// Slots in the key table (0 before the first seal).
   std::size_t IndexBucketCount() const { return slots_.size(); }
-  /// Links in the chain ring (0 before the first seal).
-  std::size_t IndexRingSize() const { return links_.size(); }
+  /// Entries in the block-pointer ring (0 before the first insert).
+  std::size_t BlockRingSize() const { return ring_.size(); }
+
+  /// Bytes the window's storage allocates: the live blocks, the
+  /// block-pointer ring and the key table.
+  std::size_t StorageBytes() const;
 
   /// Visits all records (sealed then fresh) in temporal order.
   template <class F>
   void ForEachRecord(F f) const {
-    for (const Block& b : blocks_) {
-      for (const Rec& r : b.Records()) f(r);
+    for (std::uint64_t b = base_block_; b < next_block_; ++b) {
+      const Link* links = LinksOf(b);
+      const std::uint64_t* keys = KeysOf(b);
+      const std::size_t n = b + 1 == next_block_ ? head_size_ : block_capacity_;
+      for (std::size_t j = 0; j < n; ++j) {
+        f(Rec{links[j].ts, keys[j], stream_});
+      }
     }
   }
 
@@ -213,20 +240,36 @@ class MiniPartition {
     std::uint64_t top = 0;
   };
   /// Per-record chain link. `prev` is the seq + 1 of the key's previous
-  /// sealed record (0 = none); it is only followed while above base_seq_.
+  /// sealed record (0 = none), set when the record is sealed; it is only
+  /// followed while above base_seq_.
   struct Link {
     Time ts = 0;
     std::uint64_t prev = 0;
   };
+  /// One block's storage: block_capacity_ links, then their keys. A byte
+  /// array implicitly creates the Link and key arrays its accessors use.
+  using BlockPtr = std::unique_ptr<std::byte[]>;
 
-  Block& HeadBlock();
-  /// Makes room in the ring for `n` more live sealed records.
-  void ReserveLinks(std::size_t n);
-  void ResizeLinks(std::size_t capacity);
+  /// Live block `block`'s links and keys.
+  Link* LinksOf(std::uint64_t block) const {
+    return std::launder(
+        reinterpret_cast<Link*>(ring_[block & (ring_.size() - 1)].get()));
+  }
+  std::uint64_t* KeysOf(std::uint64_t block) const {
+    return std::launder(reinterpret_cast<std::uint64_t*>(
+        ring_[block & (ring_.size() - 1)].get() +
+        block_capacity_ * sizeof(Link)));
+  }
+
+  /// Appends an empty head block, growing the ring when it is full.
+  void AppendBlock();
+  /// Moves the live blocks into a ring of `capacity` entries.
+  void ResizeRing(std::size_t capacity);
   /// Re-inserts the live keys into a table sized for `live_keys + extra`.
   void RebuildTable(std::size_t extra);
-  /// Gives `rec` the next seq and links it into its key's chain.
-  void IndexRecord(const Rec& rec);
+  /// Links the record `key` at `seq` into its key's chain: sets its
+  /// `link.prev` and makes it the key's newest sealed record.
+  void IndexRecord(std::uint64_t key, std::uint64_t seq, Link& link);
   /// Where the key's linear probe of the table starts.
   std::size_t HomeSlot(std::uint64_t key) const;
   /// The key's table slot, or the empty slot where it would go.
@@ -245,12 +288,16 @@ class MiniPartition {
                                     BatchScratch& scratch) const;
 
   std::size_t block_capacity_;
-  std::deque<Block> blocks_;  // oldest first; back() is the head block
-  std::vector<Slot> slots_;   // power of two, or empty before the first seal
-  std::vector<Link> links_;   // power of two, or empty before the first seal
+  StreamId stream_;
+  unsigned seq_shift_;          // log2 of a block's seq range
+  std::vector<BlockPtr> ring_;  // power of two, or empty before first insert
+  std::uint64_t base_block_ = 0;  // number of the oldest live block
+  std::uint64_t next_block_ = 0;  // number of the next block to append
+  std::size_t head_size_ = 0;     // records in the head block
+  std::size_t fresh_ = 0;         // of those, not yet sealed (the newest)
+  std::vector<Slot> slots_;  // power of two, or empty before the first seal
   std::size_t used_slots_ = 0;  // non-empty slots, live and dead keys
-  std::uint64_t base_seq_ = 0;  // seq of the oldest live sealed record
-  std::uint64_t next_seq_ = 0;  // seq of the next sealed record
+  std::uint64_t base_seq_ = 0;  // first seq of the oldest live block
   std::size_t total_count_ = 0;
   Time max_seen_ts_ = 0;
 };

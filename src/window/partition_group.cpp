@@ -10,8 +10,9 @@ namespace sjoin {
 
 void MiniGroup::Init(std::size_t block_capacity) {
   if (!Initialized()) {
-    parts_[0] = std::make_unique<MiniPartition>(block_capacity);
-    parts_[1] = std::make_unique<MiniPartition>(block_capacity);
+    for (StreamId s = 0; s < kStreamCount; ++s) {
+      parts_[s] = std::make_unique<MiniPartition>(block_capacity, s);
+    }
   }
 }
 
@@ -38,6 +39,14 @@ MiniGroup& PartitionGroup::GroupFor(std::uint64_t key) {
   MiniGroup& mg = dir_.Find(TuneHash(key)).bucket;
   mg.Init(block_capacity_);
   return mg;
+}
+
+std::size_t PartitionGroup::StorageBytes() const {
+  std::size_t n = 0;
+  ForEachMiniGroup([&](const MiniGroup& mg) {
+    for (StreamId s = 0; s < kStreamCount; ++s) n += mg.Part(s).StorageBytes();
+  });
+  return n;
 }
 
 void PartitionGroup::AddCount(std::ptrdiff_t delta) {

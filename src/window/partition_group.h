@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/config.h"
@@ -32,8 +31,8 @@ class MiniGroup {
  public:
   MiniGroup() = default;
 
-  /// Lazily allocates the two MiniPartitions (the extendible directory
-  /// default-constructs buckets).
+  /// Lazily allocates the two MiniPartitions, one per stream (the
+  /// extendible directory default-constructs buckets).
   void Init(std::size_t block_capacity);
   bool Initialized() const { return parts_[0] != nullptr; }
 
@@ -73,6 +72,9 @@ class PartitionGroup {
 
   std::size_t TotalCount() const { return total_count_; }
   std::size_t TotalBytes() const { return total_count_ * tuple_bytes_; }
+  /// Bytes the group's window storage allocates (MiniPartition::
+  /// StorageBytes over its mini-groups); TotalBytes is the paper's figure.
+  std::size_t StorageBytes() const;
   std::size_t MiniGroupCount() const { return dir_.BucketCount(); }
   std::uint64_t Splits() const { return splits_; }
   std::uint64_t Merges() const { return merges_; }
@@ -127,9 +129,7 @@ class PartitionGroup {
 
   /// Checkpoint journal: every record sealed into this group since the last
   /// TakeJournal (see JoinModule::EnableCheckpointJournal).
-  void AppendJournal(std::span<const Rec> recs) {
-    journal_.insert(journal_.end(), recs.begin(), recs.end());
-  }
+  void AppendJournal(const Rec& rec) { journal_.push_back(rec); }
   std::vector<Rec> TakeJournal() {
     std::vector<Rec> out = std::move(journal_);
     journal_.clear();

@@ -82,11 +82,7 @@ std::vector<Rec> CollectGroupRecords(const PartitionGroup& group) {
     for (StreamId s = 0; s < kStreamCount; ++s) {
       const MiniPartition& part = mg.Part(s);
       assert(part.FreshCount() == 0 && "flush the group before collecting");
-      part.ForEachRecord([&](const Rec& rec) {
-        Rec tagged = rec;
-        tagged.stream = s;  // the stream slot is authoritative here
-        out.push_back(tagged);
-      });
+      part.ForEachRecord([&](const Rec& rec) { out.push_back(rec); });
     }
   });
   std::stable_sort(out.begin(), out.end(),

@@ -63,6 +63,14 @@ std::vector<PartitionId> WindowStore::OwnedPartitions() const {
   return out;
 }
 
+std::size_t WindowStore::StorageBytes() const {
+  std::size_t n = 0;
+  ForEachGroup([&](PartitionId, const PartitionGroup& group) {
+    n += group.StorageBytes();
+  });
+  return n;
+}
+
 std::size_t WindowStore::TotalCount() const {
   std::size_t n = 0;
   ForEachGroup([&](PartitionId, const PartitionGroup& group) {

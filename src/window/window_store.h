@@ -49,6 +49,8 @@ class WindowStore {
   /// paper's "window size within a node" metric).
   std::size_t TotalCount() const;
   std::size_t TotalBytes() const { return TotalCount() * tuple_bytes_; }
+  /// Bytes the owned groups' window storage actually allocates.
+  std::size_t StorageBytes() const;
 
   /// Visits the owned groups in ascending pid order.
   template <class F>

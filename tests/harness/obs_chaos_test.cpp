@@ -397,6 +397,48 @@ TEST(ObsChaosTest, TupleDelayAndHealthTelemetryReachClusterView) {
   EXPECT_EQ(srow.cells.at("watermark_vt_us").d, static_cast<double>(srow.vt));
 }
 
+// Each slave reports the bytes its window storage allocates as the
+// `window_storage_bytes` gauge. It is kVolatile: it appears in the
+// end-of-run export only, never in a recorder row or a kMetrics frame, so
+// no per-epoch export and no byte on the wire carries it.
+TEST(ObsChaosTest, WindowStorageGaugeStaysOutOfEpochExports) {
+  ChaosClusterOptions opts = BaseOptions(47);
+  ChaosClusterResult r = RunChaosCluster(opts);
+  ASSERT_TRUE(r.exact);
+
+  constexpr const char* kName = "window_storage_bytes";
+  double total = 0;
+  for (Rank rank = 1; rank <= opts.cfg.num_slaves; ++rank) {
+    const obs::MetricsRegistry& reg = r.obs[rank]->registry;
+    std::size_t found = 0;
+    for (const obs::SnapshotEntry& e : reg.Collect(/*include_volatile=*/true)) {
+      if (e.name != kName) continue;
+      ++found;
+      EXPECT_EQ(e.kind, obs::MetricKind::kGauge) << "rank " << rank;
+      EXPECT_EQ(e.stability, obs::Stability::kVolatile) << "rank " << rank;
+    }
+    EXPECT_EQ(found, 1u) << "rank " << rank;
+    for (const obs::SnapshotEntry& e : reg.Collect(/*include_volatile=*/false)) {
+      EXPECT_NE(e.name, kName) << "rank " << rank;
+    }
+    for (const obs::EpochRow& row : r.obs[rank]->recorder.Rows()) {
+      EXPECT_EQ(row.cells.count(kName), 0u) << "rank " << rank;
+    }
+    total += reg.GaugeValue(kName);
+  }
+  // A window holds whole 24-byte-per-record blocks of 64 records.
+  EXPECT_GE(total, 64.0 * 24.0);
+
+  const obs::ClusterMetricsView& view = r.obs[0]->cluster;
+  for (Rank rank = 1; rank <= opts.cfg.num_slaves; ++rank) {
+    for (std::int64_t epoch : view.Epochs(rank)) {
+      for (const obs::MetricSample& s : *view.Get(rank, epoch)) {
+        EXPECT_NE(s.name, kName) << "rank " << rank << " epoch " << epoch;
+      }
+    }
+  }
+}
+
 // Flight-recorder acceptance: a chaos run whose output diff fails (a crash
 // without replication loses window state, so outputs go missing) must leave
 // every rank's flight ring and the stitched trace in the artifact

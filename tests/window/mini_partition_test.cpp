@@ -41,7 +41,7 @@ std::vector<std::vector<Time>> ProbeBatch(
 
 TEST(MiniPartitionTest, InsertedRecordsAreFreshUntilSealed) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   p.Insert(R(1, 10));
   p.Insert(R(2, 10));
   EXPECT_EQ(p.FreshCount(), 2u);
@@ -56,7 +56,7 @@ TEST(MiniPartitionTest, InsertedRecordsAreFreshUntilSealed) {
 }
 
 TEST(MiniPartitionTest, HeadFullOnlyWithFreshContent) {
-  MiniPartition p(2);
+  MiniPartition p(2, 0);
   p.Insert(R(1, 1));
   EXPECT_FALSE(p.HeadFull());
   p.Insert(R(2, 2));
@@ -67,7 +67,7 @@ TEST(MiniPartitionTest, HeadFullOnlyWithFreshContent) {
 
 TEST(MiniPartitionTest, ProbeFiltersByKeyAndWindow) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(8);
+  MiniPartition p(8, 0);
   p.Insert(R(100, 7));
   p.Insert(R(200, 7));
   p.Insert(R(300, 9));
@@ -84,7 +84,7 @@ TEST(MiniPartitionTest, ProbeFiltersByKeyAndWindow) {
 
 TEST(MiniPartitionTest, ProbeSpanIsAscendingTimestamps) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(8);
+  MiniPartition p(8, 0);
   for (Time t = 1; t <= 5; ++t) p.Insert(R(t * 10, 3));
   p.Seal();
   auto m = p.ProbeSealed(3, 0, kFarFuture, scratch);
@@ -94,7 +94,7 @@ TEST(MiniPartitionTest, ProbeSpanIsAscendingTimestamps) {
 
 TEST(MiniPartitionTest, ExpireRemovesWholeOldBlocks) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(2);  // tiny blocks
+  MiniPartition p(2, 0);  // tiny blocks
   p.Insert(R(1, 1));
   p.Insert(R(2, 1));
   p.Seal();
@@ -114,7 +114,7 @@ TEST(MiniPartitionTest, ExpireRemovesWholeOldBlocks) {
 }
 
 TEST(MiniPartitionTest, HeadBlockNeverExpires) {
-  MiniPartition p(2);
+  MiniPartition p(2, 0);
   p.Insert(R(1, 1));
   p.Insert(R(2, 1));
   p.Seal();
@@ -125,7 +125,7 @@ TEST(MiniPartitionTest, HeadBlockNeverExpires) {
 }
 
 TEST(MiniPartitionTest, BlockExpiresOnlyWhenNewestRecordIsOld) {
-  MiniPartition p(2);
+  MiniPartition p(2, 0);
   p.Insert(R(1, 1));
   p.Insert(R(100, 1));  // same block: newest ts 100
   p.Seal();
@@ -139,7 +139,7 @@ TEST(MiniPartitionTest, BlockExpiresOnlyWhenNewestRecordIsOld) {
 
 TEST(MiniPartitionTest, ExpiryKeepsIndexConsistentAcrossManyBlocks) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   for (Time t = 1; t <= 100; ++t) {
     p.Insert(R(t, static_cast<std::uint64_t>(t % 3)));
     p.Seal();
@@ -156,7 +156,7 @@ TEST(MiniPartitionTest, ExpiryKeepsIndexConsistentAcrossManyBlocks) {
 
 TEST(MiniPartitionTest, InstallSealedIsImmediatelyVisible) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   p.InstallSealed(R(5, 42));
   p.InstallSealed(R(6, 42));
   EXPECT_EQ(p.FreshCount(), 0u);
@@ -166,7 +166,7 @@ TEST(MiniPartitionTest, InstallSealedIsImmediatelyVisible) {
 
 TEST(MiniPartitionTest, MixedInstallAndInsertKeepTemporalOrder) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   p.InstallSealed(R(5, 1));
   p.Insert(R(7, 1));
   EXPECT_EQ(p.FreshCount(), 1u);
@@ -179,7 +179,7 @@ TEST(MiniPartitionTest, MixedInstallAndInsertKeepTemporalOrder) {
 }
 
 TEST(MiniPartitionTest, ForEachRecordVisitsInTemporalOrder) {
-  MiniPartition p(2);
+  MiniPartition p(2, 0);
   for (Time t = 1; t <= 7; ++t) {
     p.Insert(R(t, 9));
     p.Seal();
@@ -197,8 +197,8 @@ TEST(MiniPartitionTest, ForEachRecordVisitsInTemporalOrder) {
 TEST(MiniPartitionTest, IndexCompactionUnderLongExpiryStream) {
   std::vector<Time> scratch;  // ProbeSealed output
   // One key with steady expiry: its chain must end at the oldest live
-  // record while the link ring wraps many times.
-  MiniPartition p(4);
+  // record while the block ring wraps many times.
+  MiniPartition p(4, 0);
   for (Time t = 1; t <= 2000; ++t) {
     p.Insert(R(t, 0));
     p.Seal();
@@ -211,7 +211,7 @@ TEST(MiniPartitionTest, IndexCompactionUnderLongExpiryStream) {
 
 TEST(MiniPartitionTest, IndexTracksLiveKeysAcrossSealAndExpire) {
   std::vector<Time> scratch;  // ProbeSealed output
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   // 64 distinct keys, sealed as each block fills (the join module's
   // HeadFull rule): every sealed key must be indexed.
   for (Time t = 1; t <= 64; ++t) {
@@ -229,7 +229,7 @@ TEST(MiniPartitionTest, IndexTracksLiveKeysAcrossSealAndExpire) {
   EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture, scratch).empty());
 
   // Partial expiry: key 1's records all predate the horizon, key 2 stays.
-  MiniPartition q(4);
+  MiniPartition q(4, 0);
   for (Time t = 100; t < 108; ++t) {
     q.Insert(R(t, 1));
     q.Seal();
@@ -249,7 +249,7 @@ TEST(MiniPartitionTest, IndexBucketsShrinkAfterBurst) {
   // A bursty run: a wide distinct-key burst grows the key table, then the
   // keys die. The shrink rule must rebuild the table back down instead of
   // carrying thousands of empty slots for the rest of the run.
-  MiniPartition p(4);
+  MiniPartition p(4, 0);
   for (Time t = 1; t <= 20000; ++t) {
     p.Insert(R(t, static_cast<std::uint64_t>(t)));  // all keys distinct
     p.Seal();
@@ -262,53 +262,65 @@ TEST(MiniPartitionTest, IndexBucketsShrinkAfterBurst) {
 }
 
 TEST(MiniPartitionTest, ReappearingKeyStopsAtExpiredLinks) {
-  // Key 7's only records expire, and newer records of other keys reuse
-  // their ring slots (the ring holds 16 links). When key 7 comes back, its
-  // chain starts in the dead slot's stale `top`; the walk must stop there
-  // instead of reading the other keys' timestamps out of the reused links.
-  MiniPartition p(4);
+  // Key 7's only records (block 0, seqs 0-3) expire, and a newer block
+  // takes block 0's entry in the ring of 4 block pointers. Keys 100 and 101
+  // fill the other blocks, so the table never rebuilds and key 7's dead
+  // slot keeps its stale `top` (seq 3). When key 7 comes back, its chain
+  // continues from there; the walk must stop at base_seq instead of reading
+  // seq 3's slot out of the newer block, which holds ts 20.
+  MiniPartition p(4, 0);
   std::vector<Time> scratch;
+  const auto other = [](Time t) {
+    return static_cast<std::uint64_t>(100 + t % 2);
+  };
   for (Time t = 1; t <= 4; ++t) p.Insert(R(t, 7));
   p.Seal();
-  for (Time t = 5; t <= 16; ++t) {
-    p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
+  for (Time t = 5; t <= 12; ++t) {
+    p.Insert(R(t, other(t)));
     if (p.HeadFull()) p.Seal();
   }
   ASSERT_EQ(p.ExpireBlocks(5), 4u);  // key 7's block
-  ASSERT_EQ(Timestamps(p).size(), 12u);  // ts 5..16 survive
+  ASSERT_EQ(Timestamps(p).size(), 8u);  // ts 5..12 survive
   ASSERT_EQ(Timestamps(p).front(), 5);
-  EXPECT_TRUE(p.ProbeSealed(7, 0, kFarFuture, scratch).empty());
-  for (Time t = 17; t <= 20; ++t) {
-    p.Insert(R(t, 100 + static_cast<std::uint64_t>(t)));
+  for (Time t = 13; t <= 20; ++t) {
+    p.Insert(R(t, t == 17 ? 7 : other(t)));
     if (p.HeadFull()) p.Seal();
   }
-  ASSERT_EQ(p.IndexRingSize(), 16u);  // seqs 16..19 reused key 7's links
-  p.Insert(R(21, 7));
-  p.Seal();
+  // Blocks 1-4 are live in a ring of 4, so block 4 (ts 17-20) holds the
+  // ring entry of expired block 0: seq 3 names block 4's slot 3 (ts 20).
+  ASSERT_EQ(p.BlockRingSize(), 4u);
+  ASSERT_EQ(p.BlockCount(), 4u);
+  ASSERT_EQ(Timestamps(p).back(), 20);
   auto m = p.ProbeSealed(7, 0, kFarFuture, scratch);
   ASSERT_EQ(m.size(), 1u);
-  EXPECT_EQ(m[0], 21);
-  EXPECT_EQ(p.IndexKeyCount(), 17u);  // key 7 + keys 105..120
+  EXPECT_EQ(m[0], 17);
+  EXPECT_EQ(p.IndexKeyCount(), 3u);  // keys 7, 100 and 101
 }
 
 TEST(MiniPartitionTest, NothingAllocatedBeforeFirstSeal) {
-  MiniPartition p(4);
+  // No storage before the first insert; the first insert allocates a block
+  // and the ring, and the key table waits for the first seal.
+  MiniPartition p(4, 0);
   std::vector<Time> scratch;
+  EXPECT_EQ(p.StorageBytes(), 0u);
+  EXPECT_EQ(p.BlockRingSize(), 0u);
   EXPECT_EQ(p.IndexBucketCount(), 0u);
-  EXPECT_EQ(p.IndexRingSize(), 0u);
   EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture, scratch).empty());
+  EXPECT_EQ(p.ExpireBlocks(kFarFuture), 0u);
   p.Insert(R(1, 1));
+  EXPECT_GT(p.BlockRingSize(), 0u);
   EXPECT_EQ(p.IndexBucketCount(), 0u);
+  EXPECT_TRUE(p.ProbeSealed(1, 0, kFarFuture, scratch).empty());
   p.Seal();
   EXPECT_GT(p.IndexBucketCount(), 0u);
-  EXPECT_GT(p.IndexRingSize(), 0u);
+  EXPECT_EQ(p.ProbeSealed(1, 0, kFarFuture, scratch).size(), 1u);
 }
 
 TEST(MiniPartitionTest, RingAndTableShrinkAfterBurst) {
-  // A burst of 5000 distinct keys, then a few hot-key records: both index
-  // arrays grow with the burst and shrink once it expires, and the hot key
-  // stays probe-visible throughout.
-  MiniPartition p(8);
+  // A burst of 5000 distinct keys, then a few hot-key records: the block
+  // ring and the key table grow with the burst and shrink once it expires,
+  // and the hot key stays probe-visible throughout.
+  MiniPartition p(8, 0);
   std::vector<Time> scratch;
   Time t = 0;
   for (int i = 0; i < 5000; ++i) {
@@ -320,27 +332,52 @@ TEST(MiniPartitionTest, RingAndTableShrinkAfterBurst) {
     if (p.HeadFull()) p.Seal();
   }
   p.Seal();
-  const std::size_t ring_peak = p.IndexRingSize();
+  const std::size_t ring_peak = p.BlockRingSize();
   const std::size_t table_peak = p.IndexBucketCount();
-  EXPECT_GE(ring_peak, 5016u);
+  EXPECT_GE(ring_peak, 627u);  // 5016 records in blocks of 8
   EXPECT_GE(table_peak, 5001u);
   (void)p.ExpireBlocks(5001);  // the burst's blocks only
   EXPECT_EQ(p.SealedCount(), 16u);
-  EXPECT_LT(p.IndexRingSize(), ring_peak / 8);
+  EXPECT_EQ(p.BlockCount(), 2u);
+  EXPECT_LT(p.BlockRingSize(), ring_peak / 8);
   EXPECT_LT(p.IndexBucketCount(), table_peak / 8);
   EXPECT_EQ(p.IndexKeyCount(), 1u);
   EXPECT_EQ(p.ProbeSealed(3, 0, kFarFuture, scratch).size(), 16u);
   EXPECT_TRUE(p.ProbeSealed(1'000'000, 0, kFarFuture, scratch).empty());
 }
 
+TEST(MiniPartitionTest, BlocksHoldTwentyFourBytesPerRecord) {
+  // A steady sliding window of 20 000 records over 5 000 keys in 64-record
+  // blocks: a record's link and key are its only storage, so the blocks and
+  // the block ring take at most 26 bytes per live record (24 of them the
+  // record's), on top of the key table's 16-byte slots.
+  constexpr std::size_t kSlotBytes = 16;
+  MiniPartition p(64, 0);
+  std::size_t checked = 0;
+  for (Time t = 1; t <= 100'000; ++t) {
+    p.Insert(R(t, static_cast<std::uint64_t>(t * 7919 % 5000)));
+    if (p.HeadFull()) p.Seal();
+    (void)p.ExpireBlocks(t - 20'000);
+    if (t > 40'000 && t % 997 == 0) {
+      const std::size_t block_bytes =
+          p.StorageBytes() - p.IndexBucketCount() * kSlotBytes;
+      EXPECT_LE(block_bytes, 26 * p.TotalCount()) << "t=" << t;
+      EXPECT_GE(block_bytes, 24 * p.TotalCount()) << "t=" << t;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 50u);
+}
+
 TEST(MiniPartitionTest, BatchChainStopsAtBaseSeqWhenItsLinkIsReused) {
-  // A ring of 16 links and blocks of 4. Block A holds key 7 at seqs 0-2 and
-  // key 8 at seq 3; key 7 comes back at seq 4. Block A expires (base_seq 4)
-  // and seqs 16-19 (keys 201-204, one record each) reuse its link slots.
-  // Key 7's chain runs seq 4 -> seq 2, and key 8's slot still names seq 3:
-  // both walks must end at base_seq instead of reading seq 18's or 19's
-  // link out of the reused slot -- also for probes that start mid-batch.
-  MiniPartition p(4);
+  // A ring of 4 block pointers and blocks of 4. Block A (block 0) holds
+  // key 7 at seqs 0-2 and key 8 at seq 3; key 7 comes back at seq 4. Block
+  // A expires (base_seq 4) and block 4 (seqs 16-19, keys 201-204, one
+  // record each) takes its ring entry. Key 7's chain runs seq 4 -> seq 2,
+  // and key 8's slot still names seq 3: both walks must end at base_seq
+  // instead of reading block 4's slot 2 or 3 (ts 19, 20) through the
+  // reused entry -- also for probes that start mid-batch.
+  MiniPartition p(4, 0);
   Time t = 0;
   const auto add = [&](std::uint64_t key) {
     p.Insert(R(++t, key));
@@ -352,7 +389,8 @@ TEST(MiniPartitionTest, BatchChainStopsAtBaseSeqWhenItsLinkIsReused) {
   for (std::uint64_t k = 101; k <= 111; ++k) add(k);  // ts 6-16
   ASSERT_EQ(p.ExpireBlocks(5), 4u);                   // block A only
   for (std::uint64_t k = 201; k <= 204; ++k) add(k);  // ts 17-20
-  ASSERT_EQ(p.IndexRingSize(), 16u);
+  ASSERT_EQ(p.BlockRingSize(), 4u);
+  ASSERT_EQ(p.BlockCount(), 4u);  // blocks 1-4: block 4 holds A's entry
   ASSERT_EQ(p.SealedCount(), 16u);
 
   const std::vector<std::pair<MiniPartition::SealedProbe, std::vector<Time>>>
@@ -381,7 +419,7 @@ TEST(MiniPartitionTest, LongChainParksAndFinishesInOrder) {
   // chains around them finish in the interleaved walk. Windows cut the
   // long chain before, at and after the park point, on record timestamps.
   constexpr std::size_t kShare = MiniPartition::kInterleavedMatches;
-  MiniPartition p(3);
+  MiniPartition p(3, 0);
   std::vector<Time> long_ts;
   Time t = 0;
   for (std::size_t i = 0; i < 3 * kShare + 2; ++i) {
@@ -545,7 +583,7 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
     Pcg32 rng(static_cast<std::uint64_t>(it), 29);
     const std::size_t caps[] = {1, 2, 3, 4, 8};
     const std::size_t cap = caps[rng.NextBounded(5)];
-    MiniPartition p(cap);
+    MiniPartition p(cap, 0);
     std::deque<ModelRec> model;
     std::vector<std::uint64_t> ever_keys;
     std::vector<Time> scratch;
