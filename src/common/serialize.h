@@ -47,10 +47,14 @@ class Writer {
   std::vector<std::uint8_t> TakeBuffer() && { return std::move(buf_); }
 
  private:
+  /// Grows the buffer once per value and writes its little-endian bytes in
+  /// place: one capacity check per value, not one per byte.
   template <typename T>
   void PutLe(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 

@@ -20,6 +20,7 @@
 #include "core/master_buffer.h"
 #include "core/membership.h"
 #include "core/partition_map.h"
+#include "core/replica_chain.h"
 #include "core/worker_pool.h"
 #include "gen/stream_source.h"
 #include "join/epoch_tag_sink.h"
@@ -214,6 +215,14 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // a snapshot handover (the owner-side store creates groups on first touch
   // and silently skips checkpoint commands for absent ones).
   std::vector<bool> touched(repl ? npart : 0, false);
+  // The newest checkpoint sweep's entries, per group, until the buddy they
+  // name acks them (see the shutdown drain).
+  struct SweepEntry {
+    std::uint64_t epoch;
+    SlaveIdx owner;
+    SlaveIdx buddy;
+  };
+  std::vector<std::optional<SweepEntry>> unacked(repl ? npart : 0);
 
   // Re-points a group's buddy to the owner's successor on the member ring.
   // The new buddy holds no segments: the ack watermark resets, the next
@@ -434,6 +443,10 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   auto handle_ckpt_ack = [&](SlaveIdx src, const CheckpointAckMsg& ack) {
     if (!repl || ack.partition_id >= npart) return;
     const PartitionId pid = ack.partition_id;
+    if (std::optional<SweepEntry>& se = unacked[pid];
+        se && se->buddy == src && ack.covered_epoch >= se->epoch) {
+      se.reset();
+    }
     if (members.Alive(src) && pending_buddy[pid] == src) {
       pmap.SetBuddy(pid, src);
       pending_buddy[pid] = kNoPendingBuddy;
@@ -622,7 +635,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       CkptCmdMsg cmd;
       cmd.covered_epoch = sum.epochs;
       cmd.entries.push_back(
-          CkptCmdMsg::Entry{pid, static_cast<Rank>(want) + 1, true});
+          CkptCmdMsg::Entry{pid, static_cast<Rank>(want) + 1, true, 0});
       Writer w;
       Encode(w, cmd);
       transport.Send(static_cast<Rank>(pmap.OwnerOf(pid)) + 1,
@@ -1099,6 +1112,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
                        {{"epoch", static_cast<std::int64_t>(sum.epochs)}});
       ob.flight.Record(vt_now, "ckpt_sweep",
                        "epoch=" + std::to_string(sum.epochs));
+      std::fill(unacked.begin(), unacked.end(), std::nullopt);
       for (Rank s = 1; s <= n; ++s) {
         if (!members.Active(s - 1)) continue;
         CkptCmdMsg cmd;
@@ -1107,16 +1121,20 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
           if (in_flight[pid]) continue;
           SlaveIdx b = pmap.BuddyOf(pid);
           bool full = need_full[pid];
+          std::uint64_t committed = acked[pid];
           if (pending_buddy[pid] != kNoPendingBuddy) {
             // Mid-handover: checkpoints go to the *new* buddy in full; the
             // ring pointer (and the old replica) stay authoritative until
             // the new buddy's ack commits the handover.
             b = pending_buddy[pid];
             full = true;
+            committed = 0;  // `acked` is the old buddy's watermark
           }
           if (!members.Active(b) || b == s - 1) continue;
-          cmd.entries.push_back(CkptCmdMsg::Entry{pid, b + 1, full});
+          cmd.entries.push_back(CkptCmdMsg::Entry{pid, b + 1, full, committed});
           if (pending_buddy[pid] == kNoPendingBuddy) need_full[pid] = false;
+          // An untouched group's segment, if shipped at all, is empty.
+          if (touched[pid]) unacked[pid] = SweepEntry{sum.epochs, s - 1, b};
         }
         if (cmd.entries.empty()) continue;
         Writer w;
@@ -1176,6 +1194,23 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // carries). Every wait is still bounded -- an unresponsive mover gets the
   // same dead-slave verdict as in the epoch loop.
   drain_moves();
+
+  // Then drain the last checkpoint sweep: a slave stops reading on
+  // kShutdown, so a segment still in flight to it would block its sender
+  // once it outgrows the socket buffer. One bounded wait per buddy, for the
+  // entries whose owner lives; a slow buddy is abandoned, never evicted.
+  for (SlaveIdx b = 0; repl && b < n; ++b) {
+    wait_on(
+        b,
+        [&] {
+          return std::none_of(
+              unacked.begin(), unacked.end(),
+              [&](const std::optional<SweepEntry>& se) {
+                return se && se->buddy == b && members.Alive(se->owner);
+              });
+        },
+        /*verdict=*/false);
+  }
 
   // Final sweep: distribute the tuples that were withheld while their
   // partition was in flight (the drain released every in_flight flag).
@@ -1289,18 +1324,6 @@ using SlaveWork =
                  CkptApplyWork, FailoverWork, ReplayWork, JoinWork, LeaveWork,
                  StopWork>;
 
-/// One applied replica segment of a partition-group. A buddy's chain is a
-/// full snapshot followed by contiguous incremental deltas (older fulls are
-/// kept until superseded twice -- the newest full may be unacknowledged at
-/// failover time and get discarded, falling back to its predecessor).
-struct ReplicaSegment {
-  std::uint64_t from = 0;
-  std::uint64_t to = 0;
-  bool full = false;
-  Time expire_before = 0;
-  std::vector<Rec> recs;
-};
-
 }  // namespace
 
 SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
@@ -1366,6 +1389,10 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       reg.GetGauge("inbox_tuples", {}, obs::Stability::kVolatile);
   obs::Gauge& g_window_storage =
       reg.GetGauge("window_storage_bytes", {}, obs::Stability::kVolatile);
+  // Records this buddy's replica chains hold (timing dependent: how far a
+  // chain is pruned depends on when the master heard the acks).
+  obs::Gauge& g_replica_records =
+      reg.GetGauge("replica_records", {}, obs::Stability::kVolatile);
 
   WallClock clock;
   std::atomic<Time> clock_offset{0};  // master_time - local_time
@@ -1558,7 +1585,12 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   // `replica` holds this slave's buddy-side segment chains.
   std::uint64_t epochs_done = 0;
   std::map<PartitionId, std::uint64_t> last_ckpt;
-  std::map<PartitionId, std::vector<ReplicaSegment>> replica;
+  std::map<PartitionId, ReplicaChain> replica;
+  auto set_replica_gauge = [&] {
+    std::size_t records = 0;
+    for (const auto& [pid, chain] : replica) records += chain.Records();
+    g_replica_records.Set(static_cast<double>(records));
+  };
 
   auto flush_stats = [&] {
     const RunningStat& d = sink.DelayUs();
@@ -1772,6 +1804,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
           max_seen = std::max(max_seen, mg.MaxSeenTs());
         });
         m.expire_before = max_seen - wall_cfg.join.window;
+        m.committed_epoch = e.committed_epoch;
         last_ckpt[e.partition_id] = epochs_done;
         Writer w;
         Encode(w, m, tb);
@@ -1789,42 +1822,25 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       }
     } else if (auto* ca = std::get_if<CkptApplyWork>(&work)) {
       // Buddy side: apply the segment atomically (it either is in the chain
-      // or it is not -- a crash between segments never tears one), dedup on
-      // the covered epoch (duplicated segments re-ack harmlessly; the
-      // master's watermark comparison absorbs the duplicate ack).
-      auto& chain = replica[ca->msg.partition_id];
-      if (chain.empty() || ca->msg.to_epoch > chain.back().to) {
-        ReplicaSegment seg;
-        seg.from = ca->msg.from_epoch;
-        seg.to = ca->msg.to_epoch;
-        seg.full = ca->msg.full;
-        seg.expire_before = ca->msg.expire_before;
-        seg.recs = std::move(ca->msg.recs);
-        chain.push_back(std::move(seg));
-        // Prune: drop everything before the second-newest full snapshot
-        // (the newest may be unacknowledged at failover and be discarded).
-        std::size_t fulls = 0;
-        for (std::size_t i = chain.size(); i-- > 0;) {
-          if (!chain[i].full) continue;
-          if (++fulls == 2) {
-            if (i > 0) {
-              chain.erase(chain.begin(),
-                          chain.begin() + static_cast<std::ptrdiff_t>(i));
-            }
-            break;
-          }
-        }
+      // or it is not -- a crash between segments never tears one); the
+      // chain dedups on the covered epoch and prunes below the committed
+      // one (core/replica_chain.h).
+      CheckpointMsg& m = ca->msg;
+      if (replica[m.partition_id].Apply(
+              {m.from_epoch, m.to_epoch, m.full, m.expire_before,
+               std::move(m.recs)},
+              m.committed_epoch)) {
         ++sum.ckpt_segments_applied;
         c_ck_applied.Inc();
+        set_replica_gauge();
         ob.trace.Instant(
             "ckpt_apply", "repl",
             static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-            {{"pid", static_cast<std::int64_t>(ca->msg.partition_id)},
-             {"to_epoch", static_cast<std::int64_t>(ca->msg.to_epoch)}});
+            {{"pid", static_cast<std::int64_t>(m.partition_id)},
+             {"to_epoch", static_cast<std::int64_t>(m.to_epoch)}});
       }
       Writer w;
-      Encode(w, CheckpointAckMsg{ca->msg.partition_id, ca->msg.to_epoch,
-                                 ca->wire_bytes});
+      Encode(w, CheckpointAckMsg{m.partition_id, m.to_epoch, ca->wire_bytes});
       transport.Send(0, Make(MsgType::kCheckpointAck, std::move(w)));
     } else if (auto* fo = std::get_if<FailoverWork>(&work)) {
       // Adopt a dead slave's groups: rebuild each from the replica chain
@@ -1833,31 +1849,9 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       // watermark proves can never match a replayed or future probe.
       for (const FailoverCmdMsg::Entry& e : fo->cmd.entries) {
         std::vector<Rec> recs;
-        auto it = replica.find(e.partition_id);
-        if (it != replica.end()) {
-          std::vector<ReplicaSegment>& chain = it->second;
-          while (!chain.empty() && chain.back().to >= e.replay_from) {
-            chain.pop_back();
-          }
-          std::size_t base = chain.size();
-          for (std::size_t i = chain.size(); i-- > 0;) {
-            if (chain[i].full) {
-              base = i;
-              break;
-            }
-          }
-          if (base < chain.size()) {
-            const Time expire = chain.back().expire_before;
-            std::uint64_t prev_to = 0;
-            for (std::size_t i = base; i < chain.size(); ++i) {
-              if (i > base && chain[i].from != prev_to) break;  // torn chain
-              prev_to = chain[i].to;
-              for (const Rec& rec : chain[i].recs) {
-                if (rec.ts >= expire) recs.push_back(rec);
-              }
-            }
-          }
-          replica.erase(it);
+        if (auto node = replica.extract(e.partition_id)) {
+          sum.adopted_segments_pruned += node.mapped().Pruned();
+          recs = node.mapped().Rebuild(e.replay_from);
         }
         if (!recs.empty()) {
           join.InstallGroup(
@@ -1876,6 +1870,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
                          "pid=" + std::to_string(e.partition_id) +
                              " replay_from=" + std::to_string(e.replay_from));
       }
+      set_replica_gauge();
     } else if (auto* rp = std::get_if<ReplayWork>(&work)) {
       // Redelivered retained epoch: joined exactly like a tuple batch, but
       // tagged with its original epoch (the voiding rule keys on it) and
@@ -1917,6 +1912,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       // obsolete -- drop them and return to standby. The ack travels after
       // everything this node still owed the cluster.
       replica.clear();
+      set_replica_gauge();
       last_ckpt.clear();
       ob.trace.Instant("member_retire", "membership",
                        static_cast<Time>(epochs_done) * cfg.epoch.t_dist,

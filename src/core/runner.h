@@ -41,11 +41,17 @@
 // after any owner/buddy change, an incremental journal delta otherwise --
 // and the buddy applies it atomically and acks to the master. The master
 // retains every distributed tuple batch per (group, epoch) until the
-// covering checkpoint is acked. On a dead-slave verdict the groups fail over
-// to their buddies (PlanEvacuation prefers them): each buddy rebuilds the
-// group from its acked segments and the master redelivers the retained
-// batches from the first unacked epoch onward as kReplayBatch frames, tagged
-// with their original epochs. Together with the per-(group, epoch) output
+// covering checkpoint is acked. Each command entry carries the group's
+// committed epoch (the master's ack watermark for that buddy); the owner
+// copies it into the segment, and the buddy prunes its chain below it to
+// about one window plus two sweeps (core/replica_chain.h). Before kShutdown
+// the master waits, bounded, for the last sweep's acks: a slave stops
+// reading on kShutdown, and a segment still in flight to it would block its
+// sender. On a dead-slave verdict the groups fail over to their buddies
+// (PlanEvacuation prefers them): each buddy rebuilds the group from its
+// acked segments and the master redelivers the retained batches from the
+// first unacked epoch onward as kReplayBatch frames, tagged with their
+// original epochs. Together with the per-(group, epoch) output
 // voiding rule (join/epoch_tag_sink.h) the cluster's output set is exactly
 // the reference join output despite the crash. A group is never migrated to
 // its own buddy (the replica would collide with the live state), and a
@@ -214,6 +220,10 @@ struct SlaveSummary {
   std::uint64_t ckpt_segments_applied = 0;  ///< as buddy, from owners
   std::uint64_t groups_adopted = 0;         ///< failed over to this slave
   std::uint64_t replayed_tuples = 0;        ///< redelivered and reprocessed
+  /// Segments the chains a failover rebuilt had dropped below the committed
+  /// watermark, counted at the adoption. It depends on when the master heard
+  /// the acks, so no deterministic summary carries it.
+  std::uint64_t adopted_segments_pruned = 0;
 
   /// Summed per-worker virtual cost of the intra-slave pool's batch passes
   /// (mirrors the stable `worker_busy_cost` registry counter; 0 with

@@ -200,6 +200,7 @@ void Encode(Writer& w, const CkptCmdMsg& m) {
     w.PutU32(e.partition_id);
     w.PutU32(e.buddy);
     w.PutU8(e.full ? 1 : 0);
+    w.PutU64(e.committed_epoch);
   }
 }
 
@@ -207,7 +208,7 @@ CkptCmdMsg DecodeCkptCmd(Reader& r) {
   CkptCmdMsg m;
   m.covered_epoch = r.GetU64();
   std::uint64_t n = r.GetU64();
-  if (n > r.Remaining() / 9) {  // 9 bytes per encoded entry
+  if (n > r.Remaining() / 17) {  // 17 bytes per encoded entry
     throw DecodeError("ckpt cmd entry count exceeds payload");
   }
   m.entries.reserve(n);
@@ -216,6 +217,7 @@ CkptCmdMsg DecodeCkptCmd(Reader& r) {
     e.partition_id = r.GetU32();
     e.buddy = r.GetU32();
     e.full = r.GetU8() != 0;
+    e.committed_epoch = r.GetU64();
     m.entries.push_back(e);
   }
   return m;
@@ -227,6 +229,7 @@ void Encode(Writer& w, const CheckpointMsg& m, std::size_t tuple_bytes) {
   w.PutU64(m.to_epoch);
   w.PutU8(m.full ? 1 : 0);
   w.PutI64(m.expire_before);
+  w.PutU64(m.committed_epoch);
   EncodeStateDelta(w, m.recs, tuple_bytes);
 }
 
@@ -237,6 +240,7 @@ CheckpointMsg DecodeCheckpoint(Reader& r, std::size_t tuple_bytes) {
   m.to_epoch = r.GetU64();
   m.full = r.GetU8() != 0;
   m.expire_before = r.GetI64();
+  m.committed_epoch = r.GetU64();
   if (m.full ? m.from_epoch != 0 : m.from_epoch >= m.to_epoch) {
     throw DecodeError("checkpoint epoch range is inconsistent");
   }

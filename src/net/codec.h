@@ -103,14 +103,18 @@ std::vector<Rec> DecodeStateDelta(Reader& r, std::size_t tuple_bytes);
 
 /// master -> owner: run a checkpoint sweep covering every batch up to and
 /// including `covered_epoch`. One entry per partition-group the addressee
-/// owns: the buddy rank to ship the delta to, and whether a full snapshot is
+/// owns: the buddy rank to ship the delta to, whether a full snapshot is
 /// required (first checkpoint for this (group, owner) pairing, or the buddy
-/// changed -- an incremental delta would be meaningless to the new replica).
+/// changed -- an incremental delta would be meaningless to the new replica),
+/// and the group's committed epoch, which the owner copies into the segment.
 struct CkptCmdMsg {
   struct Entry {
     std::uint32_t partition_id = 0;
     Rank buddy = 0;     ///< replica holder (slave rank, 1-based)
     bool full = false;  ///< true: ship the whole group, not the journal
+    /// The master's ack watermark for this buddy (0 for a pending handover
+    /// buddy): no failover of the group replays from at or below it.
+    std::uint64_t committed_epoch = 0;
   };
   std::uint64_t covered_epoch = 0;
   std::vector<Entry> entries;
@@ -123,14 +127,17 @@ CkptCmdMsg DecodeCkptCmd(Reader& r);
 /// delta carries the records sealed since the previous checkpoint
 /// (`from_epoch` .. `to_epoch`, contiguous per group). `expire_before` is
 /// the group's expiry watermark: replica records older than it can never
-/// match a future probe and may be pruned. Applied atomically by the buddy
-/// -- a crash mid-sweep loses whole segments, never parts of one.
+/// match a future probe and may be pruned. `committed_epoch` is copied from
+/// the command entry; the buddy prunes its chain below it
+/// (core/replica_chain.h). Applied atomically by the buddy -- a crash
+/// mid-sweep loses whole segments, never parts of one.
 struct CheckpointMsg {
   std::uint32_t partition_id = 0;
   std::uint64_t from_epoch = 0;  ///< previous covered epoch (0 for full)
   std::uint64_t to_epoch = 0;    ///< epoch this segment covers through
   bool full = false;
   Time expire_before = 0;
+  std::uint64_t committed_epoch = 0;
   std::vector<Rec> recs;
 };
 void Encode(Writer& w, const CheckpointMsg& m, std::size_t tuple_bytes);

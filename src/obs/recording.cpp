@@ -245,6 +245,10 @@ RecordingManifest DecodeManifest(Reader& r) {
 
 namespace {
 
+/// A frame record's body without its payload: kind, peer, type, trace id,
+/// parent span, send time, payload length.
+constexpr std::size_t kRecordBodyBytes = 1 + 4 + 1 + 8 + 8 + 8 + 4;
+
 void EncodeRecordBody(Writer& w, const RecordedEvent& ev) {
   w.PutU8(static_cast<std::uint8_t>(ev.kind));
   switch (ev.kind) {
@@ -298,7 +302,7 @@ RecordedEvent DecodeRecordBody(Reader& r) {
 }  // namespace
 
 void EncodeRecord(Writer& w, const RecordedEvent& ev) {
-  Writer body;
+  Writer body(kRecordBodyBytes + ev.frame.payload.size());
   EncodeRecordBody(body, ev);
   w.PutU32(static_cast<std::uint32_t>(body.Size()));
   w.PutBytes(body.Bytes());

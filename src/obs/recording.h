@@ -43,9 +43,11 @@
 
 namespace sjoin::obs {
 
-// v2 added a u8 execution-mode flag after slave.workers; v3 drops it. Only
-// the current schema loads.
-inline constexpr std::uint32_t kRecordingSchemaVersion = 3;
+// v2 added a u8 execution-mode flag after slave.workers; v3 drops it; v4's
+// recorded kCkptCmd entries and kCheckpoint segments carry a committed
+// epoch, so a v3 bundle's checkpoint frames no longer decode. Only the
+// current schema loads.
+inline constexpr std::uint32_t kRecordingSchemaVersion = 4;
 inline constexpr char kRecordingMagic[6] = {'S', 'J', 'R', 'E', 'C', '\n'};
 
 /// Peer value recorded for an untargeted Recv()/RecvTimed() timeout or

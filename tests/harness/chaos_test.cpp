@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
+#include "core/partition_map.h"
+#include "join/join_module.h"
 #include "testutil/fuzz_env.h"
 
 namespace sjoin {
@@ -383,6 +386,103 @@ TEST(ChaosTest, ReplicatedCrashExactAcrossFaultSeeds) {
     EXPECT_TRUE(r.exact) << "seed=" << seed << " missing=" << r.missing.size()
                          << " extra=" << r.extra.size()
                          << " voided=" << r.voided;
+  }
+}
+
+/// ReplicatedOptions over a longer run: ~30 epochs, five 6-epoch windows
+/// (BaseOptions' trace spans ~15 epochs). The epochs are 20 ms, not 5: the
+/// committed epoch a sweep carries is the ack watermark the master holds
+/// when it issues the sweep, and under a sanitizer 5 ms epochs let the acks
+/// fall a few sweeps behind, which leaves the chains longer.
+ChaosClusterOptions LongReplicatedOptions(std::uint64_t fault_seed) {
+  ChaosClusterOptions opts = ReplicatedOptions(fault_seed);
+  opts.cfg.join.window = 120 * kUsPerMs;
+  opts.cfg.epoch.t_dist = 20 * kUsPerMs;
+  opts.cfg.epoch.t_rep = 80 * kUsPerMs;
+  opts.trace = MakeChaosTrace(/*seed=*/97, /*count=*/2400,
+                              /*span_us=*/1200 * kUsPerMs, /*key_domain=*/40);
+  return opts;
+}
+
+// Late crashes. The cells above crash by batch 8, before any buddy could
+// prune: with a 6-epoch window and a sweep every 2 epochs, the first
+// segments fall below the committed watermark around epoch 12. These cells
+// crash and hang at batches 14-26 of a 30-epoch run, under the same delay
+// and duplicate schedule, so every failover rebuilds from a pruned chain.
+struct LateCrash {
+  std::uint64_t after_batches = 0;
+  bool hang = false;
+};
+
+void PrintTo(const LateCrash& c, std::ostream* os) {
+  *os << "batch" << c.after_batches << (c.hang ? "_hang" : "_crash");
+}
+
+class ReplicatedLateCrashTest : public ::testing::TestWithParam<LateCrash> {};
+
+TEST_P(ReplicatedLateCrashTest, ExactFromPrunedChains) {
+  const LateCrash& c = GetParam();
+  for (std::uint64_t seed : FuzzSeeds(1)) {
+    ChaosClusterOptions opts =
+        LongReplicatedOptions(200 + 10 * seed + c.after_batches);
+    opts.faults.delay_prob = 0.25;
+    opts.faults.delay_min_us = 1 * kUsPerMs;
+    opts.faults.delay_max_us = 5 * kUsPerMs;
+    opts.faults.duplicate_prob = 0.4;
+    opts.faults.crash_rank = 1 + static_cast<Rank>((seed + c.after_batches) % 3);
+    opts.faults.crash_after_batches = c.after_batches;
+    opts.faults.crash_hang = c.hang;
+    ChaosClusterResult r = RunChaosCluster(opts);
+    EXPECT_EQ(r.master.dead_slaves, 1u) << "seed=" << seed;
+    std::uint64_t pruned = 0;
+    for (const SlaveSummary& s : r.slaves) pruned += s.adopted_segments_pruned;
+    EXPECT_GT(pruned, 0u) << "seed=" << seed;
+    EXPECT_TRUE(r.exact) << "seed=" << seed << " missing=" << r.missing.size()
+                         << " extra=" << r.extra.size()
+                         << " voided=" << r.voided;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrashPoints, ReplicatedLateCrashTest,
+    ::testing::Values(LateCrash{14, false}, LateCrash{14, true},
+                      LateCrash{18, false}, LateCrash{18, true},
+                      LateCrash{22, false}, LateCrash{22, true},
+                      LateCrash{26, false}, LateCrash{26, true}),
+    [](const ::testing::TestParamInfo<LateCrash>& cell) {
+      return "batch" + std::to_string(cell.param.after_batches) +
+             (cell.param.hang ? "_hang" : "_crash");
+    });
+
+// A buddy's replica stays window-sized. At the end of a 30-epoch run (five
+// windows) each slave's chains hold at most the input to the groups it is
+// buddy for over the last window plus three sweeps; unpruned, they would
+// hold all of it.
+TEST(ChaosTest, ReplicaStaysWindowSized) {
+  ChaosClusterOptions opts = LongReplicatedOptions(30);
+  opts.cfg.balance.th_sup = 2.0;  // no migrations: the buddies stay put
+  ChaosClusterResult r = RunChaosCluster(opts);
+  ASSERT_TRUE(r.exact);
+
+  const std::uint32_t npart = opts.cfg.join.num_partitions;
+  const PartitionMap pmap(npart, opts.cfg.num_slaves);
+  const Time sweep =
+      static_cast<Time>(opts.cfg.replication.ckpt_interval_epochs) *
+      opts.cfg.epoch.t_dist;
+  const Time horizon =
+      opts.trace.back().ts - opts.cfg.join.window - 3 * sweep;
+  for (Rank rank = 1; rank <= opts.cfg.num_slaves; ++rank) {
+    std::size_t recent = 0;
+    std::size_t all = 0;
+    for (const Rec& rec : opts.trace) {
+      if (pmap.BuddyOf(PartitionOf(rec.key, npart)) != rank - 1) continue;
+      ++all;
+      if (rec.ts > horizon) ++recent;
+    }
+    const double held = r.obs[rank]->registry.GaugeValue("replica_records");
+    EXPECT_GT(held, 0.0) << "rank " << rank;
+    EXPECT_LE(held, static_cast<double>(recent)) << "rank " << rank;
+    EXPECT_LT(2 * recent, all) << "rank " << rank;
   }
 }
 

@@ -397,46 +397,64 @@ TEST(ObsChaosTest, TupleDelayAndHealthTelemetryReachClusterView) {
   EXPECT_EQ(srow.cells.at("watermark_vt_us").d, static_cast<double>(srow.vt));
 }
 
-// Each slave reports the bytes its window storage allocates as the
-// `window_storage_bytes` gauge. It is kVolatile: it appears in the
-// end-of-run export only, never in a recorder row or a kMetrics frame, so
-// no per-epoch export and no byte on the wire carries it.
-TEST(ObsChaosTest, WindowStorageGaugeStaysOutOfEpochExports) {
-  ChaosClusterOptions opts = BaseOptions(47);
-  ChaosClusterResult r = RunChaosCluster(opts);
-  ASSERT_TRUE(r.exact);
-
-  constexpr const char* kName = "window_storage_bytes";
+/// Asserts that every slave registers the gauge `name` as kVolatile and
+/// that it appears in the end-of-run export only: never in a recorder row
+/// or a kMetrics frame, so no per-epoch export and no byte on the wire
+/// carries it. Returns the gauge's sum over the slaves.
+double VolatileGaugeTotal(const ChaosClusterResult& r, Rank num_slaves,
+                          const std::string& name) {
   double total = 0;
-  for (Rank rank = 1; rank <= opts.cfg.num_slaves; ++rank) {
+  for (Rank rank = 1; rank <= num_slaves; ++rank) {
     const obs::MetricsRegistry& reg = r.obs[rank]->registry;
     std::size_t found = 0;
     for (const obs::SnapshotEntry& e : reg.Collect(/*include_volatile=*/true)) {
-      if (e.name != kName) continue;
+      if (e.name != name) continue;
       ++found;
       EXPECT_EQ(e.kind, obs::MetricKind::kGauge) << "rank " << rank;
       EXPECT_EQ(e.stability, obs::Stability::kVolatile) << "rank " << rank;
     }
     EXPECT_EQ(found, 1u) << "rank " << rank;
     for (const obs::SnapshotEntry& e : reg.Collect(/*include_volatile=*/false)) {
-      EXPECT_NE(e.name, kName) << "rank " << rank;
+      EXPECT_NE(e.name, name) << "rank " << rank;
     }
     for (const obs::EpochRow& row : r.obs[rank]->recorder.Rows()) {
-      EXPECT_EQ(row.cells.count(kName), 0u) << "rank " << rank;
+      EXPECT_EQ(row.cells.count(name), 0u) << "rank " << rank;
     }
-    total += reg.GaugeValue(kName);
+    total += reg.GaugeValue(name);
   }
-  // A window holds whole 24-byte-per-record blocks of 64 records.
-  EXPECT_GE(total, 64.0 * 24.0);
-
   const obs::ClusterMetricsView& view = r.obs[0]->cluster;
-  for (Rank rank = 1; rank <= opts.cfg.num_slaves; ++rank) {
+  for (Rank rank = 1; rank <= num_slaves; ++rank) {
     for (std::int64_t epoch : view.Epochs(rank)) {
       for (const obs::MetricSample& s : *view.Get(rank, epoch)) {
-        EXPECT_NE(s.name, kName) << "rank " << rank << " epoch " << epoch;
+        EXPECT_NE(s.name, name) << "rank " << rank << " epoch " << epoch;
       }
     }
   }
+  return total;
+}
+
+// Each slave reports the bytes its window storage allocates as the
+// `window_storage_bytes` gauge, kept out of every per-epoch export.
+TEST(ObsChaosTest, WindowStorageGaugeStaysOutOfEpochExports) {
+  ChaosClusterOptions opts = BaseOptions(47);
+  ChaosClusterResult r = RunChaosCluster(opts);
+  ASSERT_TRUE(r.exact);
+  // A window holds whole 24-byte-per-record blocks of 64 records.
+  EXPECT_GE(VolatileGaugeTotal(r, opts.cfg.num_slaves, "window_storage_bytes"),
+            64.0 * 24.0);
+}
+
+// Each buddy reports the records its replica chains hold as the
+// `replica_records` gauge. How far a chain is pruned depends on when the
+// master heard the acks, so it too stays out of every per-epoch export.
+TEST(ObsChaosTest, ReplicaRecordsGaugeStaysOutOfEpochExports) {
+  ChaosClusterOptions opts = BaseOptions(49);
+  opts.cfg.replication.enabled = true;
+  opts.cfg.replication.ckpt_interval_epochs = 2;
+  ChaosClusterResult r = RunChaosCluster(opts);
+  ASSERT_TRUE(r.exact);
+  EXPECT_GT(VolatileGaugeTotal(r, opts.cfg.num_slaves, "replica_records"),
+            0.0);
 }
 
 // Flight-recorder acceptance: a chaos run whose output diff fails (a crash

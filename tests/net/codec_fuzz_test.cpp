@@ -135,7 +135,7 @@ std::vector<Rec> FuzzRecs(std::size_t n, std::uint64_t seed) {
 TEST(CodecFuzzTest, ReplicationFramesRoundTrip) {
   CkptCmdMsg cmd;
   cmd.covered_epoch = 12;
-  cmd.entries = {{3, 2, true}, {9, 1, false}};
+  cmd.entries = {{3, 2, true, 0}, {9, 1, false, 10}};
   Writer w1;
   Encode(w1, cmd);
   Reader r1(w1.Bytes());
@@ -146,6 +146,8 @@ TEST(CodecFuzzTest, ReplicationFramesRoundTrip) {
   EXPECT_EQ(cmd2.entries[0].buddy, 2u);
   EXPECT_TRUE(cmd2.entries[0].full);
   EXPECT_FALSE(cmd2.entries[1].full);
+  EXPECT_EQ(cmd2.entries[0].committed_epoch, 0u);
+  EXPECT_EQ(cmd2.entries[1].committed_epoch, 10u);
 
   CheckpointMsg ck;
   ck.partition_id = 7;
@@ -153,6 +155,7 @@ TEST(CodecFuzzTest, ReplicationFramesRoundTrip) {
   ck.to_epoch = 8;
   ck.full = false;
   ck.expire_before = 1234;
+  ck.committed_epoch = 6;
   ck.recs = FuzzRecs(15, 5);
   Writer w2;
   Encode(w2, ck, 64);
@@ -160,6 +163,7 @@ TEST(CodecFuzzTest, ReplicationFramesRoundTrip) {
   CheckpointMsg ck2 = DecodeCheckpoint(r2, 64);
   EXPECT_EQ(ck2.to_epoch, 8u);
   EXPECT_EQ(ck2.expire_before, 1234);
+  EXPECT_EQ(ck2.committed_epoch, 6u);
   ASSERT_EQ(ck2.recs.size(), 15u);
   EXPECT_EQ(ck2.recs.back().ts, ck.recs.back().ts);
 
@@ -207,7 +211,7 @@ TEST(CodecFuzzTest, ReplicationFramesRejectTruncation) {
 
   CkptCmdMsg cmd;
   cmd.covered_epoch = 4;
-  cmd.entries = {{1, 2, false}, {2, 3, true}, {3, 1, false}};
+  cmd.entries = {{1, 2, false, 2}, {2, 3, true, 0}, {3, 1, false, 2}};
   Writer wc;
   Encode(wc, cmd);
   auto cmd_bytes = std::move(wc).TakeBuffer();
@@ -264,6 +268,7 @@ TEST(CodecFuzzTest, ReplicationFramesRejectLengthLies) {
   w.PutU64(4);        // to_epoch
   w.PutU8(1);         // full
   w.PutU64(0);        // expire_before
+  w.PutU64(0);        // committed_epoch
   w.PutU64(1 << 20);  // claims a million records...
   w.PutU8(9);         // ...delivers one byte
   Reader r(w.Bytes());

@@ -142,8 +142,10 @@ TEST(RecordingCodecTest, ManifestRejectsWrongSchema) {
   RecordingManifest m;
   Writer w;
   EncodeManifest(w, m);
-  // 2 is the previous schema (it had an execution-mode byte): no reader.
-  for (const std::uint8_t schema : {std::uint8_t{99}, std::uint8_t{2}}) {
+  // 2 had an execution-mode byte, 3 checkpoint frames without a committed
+  // epoch: no reader.
+  for (const std::uint8_t schema :
+       {std::uint8_t{99}, std::uint8_t{2}, std::uint8_t{3}}) {
     std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
     bytes[0] = schema;  // schema field is the leading u32
     Reader r(bytes);
