@@ -138,13 +138,6 @@ struct ElasticConfig {
   /// admission rebalance).
   std::uint32_t drain_groups_per_epoch = 4;
 
-  /// Join/leave handshake bounding: each awaited frame runs under the
-  /// runner's recv timeout; on timeout the command is resent with the
-  /// timeout doubled (capped at `handshake_backoff_cap_us`), at most
-  /// `handshake_max_retries` times before the peer is declared dead.
-  std::uint32_t handshake_max_retries = 3;
-  Duration handshake_backoff_cap_us = 2 * kUsPerSec;
-
   /// Master policy loop (scale proposals from mean member occupancy).
   /// Disabled unless `policy`; see core/membership.h ElasticPolicy.
   bool policy = false;
@@ -162,6 +155,18 @@ struct ElasticConfig {
   /// hot groups onto the survivors. 0 disables the veto (default, which
   /// preserves the pre-skew policy decisions bit for bit).
   double skew_scale_in_veto = 0.0;
+};
+
+/// A scheduled membership transition (WallOptions::membership): at the
+/// first epoch boundary >= `epoch` with no other transition in progress,
+/// admit (join = true) or gracefully drain (join = false) slave index
+/// `slave` (0-based). Invalid events -- joining a member, draining a
+/// standby or the last member -- are skipped, counted, and traced. A master
+/// bundle's manifest carries the schedule (obs/recording.h).
+struct MembershipEvent {
+  std::uint64_t epoch = 0;
+  bool join = true;
+  std::uint32_t slave = 0;
 };
 
 /// Cluster-level (as opposed to per-node) extension knobs.
@@ -224,19 +229,15 @@ struct WorkloadConfig {
 };
 
 /// One struct to rule them all.
-/// Observability knobs (src/obs): tuple-delay sampling and the per-process
-/// flight recorder. Everything here is deterministic -- sampling is a pure
-/// function of tuple contents and the workload seed, never of wall time.
+/// Observability knobs (src/obs): tuple-delay sampling and recording.
+/// Everything here is deterministic -- sampling is a pure function of tuple
+/// contents and the workload seed, never of wall time.
 struct ObsConfig {
   /// Deterministic end-to-end tuple-delay sampling: a tuple is sampled when
   /// Mix64(key ^ Mix64(ts) ^ seed) % rate == 0, so master and slaves agree
   /// on the sample set without any wire tagging. 0 disables sampling;
   /// 1 samples every tuple.
   std::uint32_t delay_sample_rate = 16;
-
-  /// Capacity (events) of the per-process flight-recorder ring buffer of
-  /// recent protocol/fault/membership events (src/obs/flight_recorder.h).
-  std::uint32_t flight_ring_events = 256;
 
   /// When non-empty, every node wraps its transport in a RecordingTap and
   /// streams its inbound frames (and recv timeouts/closures) to

@@ -80,17 +80,6 @@ bool AcceptCheckpointAck(bool src_alive, bool src_is_current_buddy,
                          std::uint64_t covered_epoch,
                          std::uint64_t acked_watermark);
 
-/// A scheduled membership transition (WallOptions::membership): at the
-/// first epoch boundary >= `epoch` with no other transition in progress,
-/// admit (join = true) or gracefully drain (join = false) slave index
-/// `slave` (0-based). Invalid events -- joining a member, draining a
-/// standby or the last member -- are skipped, counted, and traced.
-struct MembershipEvent {
-  std::uint64_t epoch = 0;
-  bool join = true;
-  SlaveIdx slave = 0;
-};
-
 /// Scale proposal of the master's elastic policy loop.
 enum class ScaleDecision : std::uint8_t { kNone, kOut, kIn };
 

@@ -359,6 +359,7 @@ ReplayResult ReplayNode(const obs::Recording& recording,
       return res;
     }
     wall.input_trace = &m.input_trace;
+    wall.membership = m.membership;
     wall.master_obs = &ob;
     (void)RunMasterNode(rt, cfg, wall);
   } else if (m.rank >= 1 && m.rank <= cfg.num_slaves) {
@@ -392,8 +393,11 @@ ReplayResult ReplayNode(const obs::Recording& recording,
   res.divergence_note = rt.DivergenceNote();
   res.epoch_csv = ob.recorder.ExportCsv();
   res.epoch_jsonl = ob.recorder.ExportJsonl();
-  const std::vector<obs::TraceEvent> trace_events = ob.trace.Events();
-  res.trace_json = obs::ExportChromeJson(trace_events);
+  // Exported the way a live run writes a rank's trace file: through
+  // MergeTraces, which orders by timestamp (the master's post-loop instants
+  // carry the last epoch's start, so emission order differs).
+  const obs::TraceSink* one[] = {&ob.trace};
+  res.trace_json = obs::ExportChromeJson(obs::MergeTraces(one));
   res.state_json = BuildStateJson(res.rank, res.epochs_done, res.groups);
   if (max_batches == 0) {
     VerifySends(recording, rt.Sends(), res);

@@ -51,6 +51,10 @@ void SleepUntil(const WallClock& clock, Time t) {
 /// Effectively-unbounded ProcessFor budget: drain the whole buffer.
 constexpr Duration kDrainBudget = 365LL * 24 * 3600 * kUsPerSec;
 
+/// Capacity (events) of each node's flight-recorder ring of recent
+/// protocol, fault and membership events (obs/flight_recorder.h).
+constexpr std::size_t kFlightRingEvents = 256;
+
 /// One in-flight partition-group migration, tracked until both movers ack.
 struct PendingMove {
   PartitionId pid = 0;
@@ -113,7 +117,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   obs::NodeObs local_obs;
   obs::NodeObs& ob = opts.master_obs != nullptr ? *opts.master_obs : local_obs;
   ob.trace.SetRank(0);
-  ob.flight.SetCapacity(cfg.obs.flight_ring_events);
+  ob.flight.SetCapacity(kFlightRingEvents);
   // Every process of a run derives the same 48-bit trace id from the seed
   // (48 so it survives a round trip through a JSON double); it stamps each
   // causal wire frame so per-rank trace files stitch into one distributed
@@ -659,13 +663,14 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
 
   // Join/leave handshake (bounded): send the command, wait for the matching
   // reply; every timeout resends with a doubled per-attempt timeout capped
-  // at handshake_backoff_cap_us, and after handshake_max_retries resends
-  // the peer gets the dead-slave verdict. Returns false when the peer was
-  // evicted instead of replying.
+  // at kBackoffCap, and after kMaxResends resends the peer gets the
+  // dead-slave verdict. Returns false when the peer was evicted instead of
+  // replying.
   auto handshake = [&](SlaveIdx dst, auto&& send_cmd, MsgType want) -> bool {
+    constexpr std::uint32_t kMaxResends = 3;
+    constexpr Duration kBackoffCap = 2 * kUsPerSec;
     Duration timeout = opts.recv_timeout_us;
-    const Duration cap =
-        std::max<Duration>(opts.recv_timeout_us, ecfg.handshake_backoff_cap_us);
+    const Duration cap = std::max<Duration>(opts.recv_timeout_us, kBackoffCap);
     std::uint32_t resends = 0;
     send_cmd();
     while (true) {
@@ -676,7 +681,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         return false;
       }
       if (res.status == RecvStatus::kTimeout) {
-        if (resends >= ecfg.handshake_max_retries) {
+        if (resends >= kMaxResends) {
           evict(dst);
           return false;
         }
@@ -1146,8 +1151,9 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // Reorganization: only over active members, only with no migration
     // still in flight, and suppressed while a membership transition runs
     // (its drain is a rebalance of its own; interleaving the two would
-    // thrash groups).
-    if (clock.Now() >= next_reorg && moves.empty() && !trans) {
+    // thrash groups). Due by the epoch's logical start, not the wall clock,
+    // so a master running late reorganizes at the same epoch as its replay.
+    if (epoch_start >= next_reorg && moves.empty() && !trans) {
       next_reorg += cfg.epoch.t_rep;
       std::vector<SlaveIdx> live_idx;
       std::vector<double> occ_live;
@@ -1349,7 +1355,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
           ? *opts.slave_obs[self - 1]
           : local_obs;
   ob.trace.SetRank(self);
-  ob.flight.SetCapacity(cfg.obs.flight_ring_events);
+  ob.flight.SetCapacity(kFlightRingEvents);
   // Same seed-derived trace id as the master's: stamps the slave's own
   // causal sends (kResultStats to the collector) for trace stitching.
   const std::uint64_t run_trace_id =
@@ -1951,7 +1957,7 @@ CollectorSummary RunCollectorNode(Transport& transport,
   obs::NodeObs local_obs;
   obs::NodeObs& ob = obs != nullptr ? *obs : local_obs;
   ob.trace.SetRank(self);
-  ob.flight.SetCapacity(cfg.obs.flight_ring_events);
+  ob.flight.SetCapacity(kFlightRingEvents);
   obs::Counter& c_reports = ob.registry.GetCounter("collector_reports");
   obs::Counter& c_outputs = ob.registry.GetCounter("collector_outputs");
   CollectorSummary sum;

@@ -36,6 +36,7 @@ bool RecordingTap::Open(const std::string& record_dir, const SystemConfig& cfg,
     m.has_input_trace = true;
     m.input_trace = *info.input_trace;
   }
+  if (info.membership != nullptr) m.membership = *info.membership;
   m.wall_run_for = info.wall_run_for;
   m.wall_recv_timeout_us = info.wall_recv_timeout_us;
   m.wall_recv_max_retries = info.wall_recv_max_retries;

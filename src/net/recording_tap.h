@@ -30,13 +30,15 @@ class RecordingTap : public Transport {
 
   /// Manifest context beyond the config: `membership_epoch` is the epoch the
   /// node entered the cluster (0 for initial members); `input_trace` (master
-  /// only) embeds the driving trace so rank 0 bundles are self-contained;
-  /// the wall_* fields mirror the live run's WallOptions knobs that shape
+  /// only) embeds the driving trace and `membership` (master only) the
+  /// scheduled transitions, so rank 0 bundles are self-contained; the
+  /// wall_* fields mirror the live run's WallOptions knobs that shape
   /// control flow (the master's dead-slave verdict branches on the retry
   /// budget, so the replay must use the same values).
   struct Info {
     std::uint64_t membership_epoch = 0;
     const std::vector<Rec>* input_trace = nullptr;
+    const std::vector<MembershipEvent>* membership = nullptr;
     std::int64_t wall_run_for = 0;
     std::int64_t wall_recv_timeout_us = 0;
     std::uint32_t wall_recv_max_retries = 0;

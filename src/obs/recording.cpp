@@ -62,8 +62,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   const ElasticConfig& el = cfg.cluster.elastic;
   w.PutU8(el.enabled ? 1 : 0);
   w.PutU32(el.drain_groups_per_epoch);
-  w.PutU32(el.handshake_max_retries);
-  w.PutI64(el.handshake_backoff_cap_us);
   w.PutU8(el.policy ? 1 : 0);
   w.PutDouble(el.surge_occupancy);
   w.PutU32(el.surge_epochs);
@@ -76,7 +74,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU8(cfg.net.use_inet ? 1 : 0);
 
   w.PutU32(cfg.obs.delay_sample_rate);
-  w.PutU32(cfg.obs.flight_ring_events);
   w.PutString(cfg.obs.record_dir);
 
   w.PutDouble(cfg.workload.lambda);
@@ -140,8 +137,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   ElasticConfig& el = cfg.cluster.elastic;
   el.enabled = r.GetU8() != 0;
   el.drain_groups_per_epoch = r.GetU32();
-  el.handshake_max_retries = r.GetU32();
-  el.handshake_backoff_cap_us = r.GetI64();
   el.policy = r.GetU8() != 0;
   el.surge_occupancy = r.GetDouble();
   el.surge_epochs = r.GetU32();
@@ -154,7 +149,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.net.use_inet = r.GetU8() != 0;
 
   cfg.obs.delay_sample_rate = r.GetU32();
-  cfg.obs.flight_ring_events = r.GetU32();
   cfg.obs.record_dir = r.GetString();
 
   cfg.workload.lambda = r.GetDouble();
@@ -205,6 +199,12 @@ void EncodeManifest(Writer& w, const RecordingManifest& m) {
       w.PutU8(rec.stream);
     }
   }
+  w.PutU32(static_cast<std::uint32_t>(m.membership.size()));
+  for (const MembershipEvent& ev : m.membership) {
+    w.PutU64(ev.epoch);
+    w.PutU8(ev.join ? 1 : 0);
+    w.PutU32(ev.slave);
+  }
   w.PutI64(m.wall_run_for);
   w.PutI64(m.wall_recv_timeout_us);
   w.PutU32(m.wall_recv_max_retries);
@@ -234,6 +234,16 @@ RecordingManifest DecodeManifest(Reader& r) {
       rec.stream = r.GetU8();
       m.input_trace.push_back(rec);
     }
+  }
+  const std::uint32_t events = r.GetU32();
+  RequireItems(r, events, 13);  // epoch + join + slave
+  m.membership.reserve(events);
+  for (std::uint32_t i = 0; i < events; ++i) {
+    MembershipEvent ev;
+    ev.epoch = r.GetU64();
+    ev.join = r.GetU8() != 0;
+    ev.slave = r.GetU32();
+    m.membership.push_back(ev);
   }
   m.wall_run_for = r.GetI64();
   m.wall_recv_timeout_us = r.GetI64();

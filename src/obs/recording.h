@@ -4,11 +4,12 @@
 // outcomes its transport delivered -- frames, timeouts, closures -- and (b)
 // its SystemConfig and seeds. A recording bundle captures exactly that: a
 // schema-versioned manifest (full config, rank, seeds, membership epoch,
-// build version, optional input trace) followed by a length-prefixed stream
-// of transport events in the order the node observed them. Replaying the
-// bundle through the real runner (core/replayer.h) reproduces the node's
-// deterministic artifacts -- join outputs, per-epoch recorder CSV/JSONL,
-// logical-time trace -- byte for byte.
+// build version, optional input trace and membership schedule) followed by
+// a length-prefixed stream of transport events in the order the node
+// observed them. Replaying the bundle through the real runner
+// (core/replayer.h) reproduces the node's deterministic artifacts -- join
+// outputs, per-epoch recorder CSV/JSONL, logical-time trace -- byte for
+// byte.
 //
 // The format lives in obs (below net in the layering), so message types are
 // raw u8 codes here, not net/message.h MsgType; net/recording_tap.h is the
@@ -45,9 +46,11 @@ namespace sjoin::obs {
 
 // v2 added a u8 execution-mode flag after slave.workers; v3 drops it; v4's
 // recorded kCkptCmd entries and kCheckpoint segments carry a committed
-// epoch, so a v3 bundle's checkpoint frames no longer decode. Only the
-// current schema loads.
-inline constexpr std::uint32_t kRecordingSchemaVersion = 4;
+// epoch, so a v3 bundle's checkpoint frames no longer decode; v5 drops
+// three config fields (handshake retries and backoff cap, flight-ring
+// size) and adds the master's membership schedule to the manifest. Only
+// the current schema loads.
+inline constexpr std::uint32_t kRecordingSchemaVersion = 5;
 inline constexpr char kRecordingMagic[6] = {'S', 'J', 'R', 'E', 'C', '\n'};
 
 /// Peer value recorded for an untargeted Recv()/RecvTimed() timeout or
@@ -99,6 +102,10 @@ struct RecordingManifest {
   /// their input as frames).
   bool has_input_trace = false;
   std::vector<Rec> input_trace;
+  /// Master bundles carry the run's scheduled membership transitions
+  /// (WallOptions::membership): a replayed master without them would never
+  /// start the joins and leaves its recorded frames answer.
+  std::vector<MembershipEvent> membership;
 
   /// Wall-runner knobs of the live run (core WallOptions) that shape control
   /// flow -- the master's dead-slave verdict needs the same retry budget to

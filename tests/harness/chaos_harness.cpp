@@ -146,6 +146,7 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     if (!record_dir.empty()) {
       RecordingTap::Info info;
       info.input_trace = r == 0 ? &opts.trace : nullptr;
+      info.membership = r == 0 ? &opts.wall.membership : nullptr;
       info.wall_run_for = opts.wall.run_for;
       info.wall_recv_timeout_us = opts.wall.recv_timeout_us;
       info.wall_recv_max_retries = opts.wall.recv_max_retries;

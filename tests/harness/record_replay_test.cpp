@@ -141,6 +141,46 @@ TEST(RecordReplayTest, RecordedSlaveReplaysByteIdentically) {
   EXPECT_TRUE(crashed_rep.ok) << crashed_rep.error;
 }
 
+// The master replays too: a replicated elastic run with a scheduled join
+// and a scheduled leave. The bundle's manifest carries the schedule, so the
+// replayed master starts the same transitions at the same epochs and every
+// one of its deterministic sends, its epoch rows and its trace match.
+TEST(RecordReplayTest, RecordedMasterWithMembershipScheduleReplays) {
+  TempDir dir;
+  ChaosClusterOptions opts = CrashOptions(dir.path);
+  opts.cfg.num_slaves = 4;
+  opts.cfg.initial_active_slaves = 3;
+  opts.cfg.cluster.elastic.enabled = true;
+  opts.faults = FaultConfig{};
+  opts.trace = MakeChaosTrace(/*seed=*/97, /*count=*/2000,
+                              /*span_us=*/250 * kUsPerMs,
+                              /*key_domain=*/40);
+  opts.wall.membership = {
+      MembershipEvent{/*epoch=*/4, /*join=*/true, /*slave=*/3},
+      MembershipEvent{/*epoch=*/10, /*join=*/false, /*slave=*/1},
+  };
+  ChaosClusterResult live = RunChaosCluster(opts);
+  ASSERT_TRUE(live.exact) << "missing=" << live.missing.size()
+                          << " extra=" << live.extra.size();
+  ASSERT_EQ(live.master.joins, 1u);
+  ASSERT_EQ(live.master.leaves, 1u);
+
+  obs::LoadRecordingResult loaded =
+      obs::LoadRecording(obs::RecordingBundlePath(dir.path, 0));
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.recording.manifest.membership.size(), 2u);
+
+  ReplayOptions ro;
+  ro.trace = true;
+  ReplayResult rep = ReplayNode(loaded.recording, ro);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_FALSE(rep.control_divergence) << rep.divergence_note;
+  EXPECT_GT(rep.sends_checked, 0u);
+  EXPECT_EQ(rep.send_mismatches, 0u);
+  EXPECT_EQ(rep.epoch_csv, ReadFileRaw(dir.path + "/epochs_rank0.csv"));
+  EXPECT_EQ(rep.trace_json, ReadFileRaw(dir.path + "/trace_rank0.json"));
+}
+
 TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {
   TempDir dir;
   ChaosClusterOptions opts = CrashOptions(dir.path);

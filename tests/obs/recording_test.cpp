@@ -118,6 +118,7 @@ TEST(RecordingCodecTest, ManifestRoundTripsWithInputTrace) {
   m.config_summary = Summarize(m.cfg);
   m.has_input_trace = true;
   m.input_trace = {Rec{10, 7, 0}, Rec{20, 9, 1}, Rec{30, 7, 1}};
+  m.membership = {MembershipEvent{4, true, 3}, MembershipEvent{9, false, 1}};
   m.wall_run_for = 10'000'000;
   m.wall_recv_timeout_us = 250'000;
   m.wall_recv_max_retries = 3;
@@ -133,6 +134,10 @@ TEST(RecordingCodecTest, ManifestRoundTripsWithInputTrace) {
   ASSERT_EQ(back.input_trace.size(), 3u);
   EXPECT_EQ(back.input_trace[2].ts, 30);
   EXPECT_EQ(back.input_trace[2].key, 7u);
+  ASSERT_EQ(back.membership.size(), 2u);
+  EXPECT_EQ(back.membership[1].epoch, 9u);
+  EXPECT_FALSE(back.membership[1].join);
+  EXPECT_EQ(back.membership[1].slave, 1u);
   EXPECT_EQ(back.wall_run_for, 10'000'000);
   EXPECT_EQ(back.wall_recv_timeout_us, 250'000);
   EXPECT_EQ(back.wall_recv_max_retries, 3u);
@@ -143,9 +148,10 @@ TEST(RecordingCodecTest, ManifestRejectsWrongSchema) {
   Writer w;
   EncodeManifest(w, m);
   // 2 had an execution-mode byte, 3 checkpoint frames without a committed
-  // epoch: no reader.
-  for (const std::uint8_t schema :
-       {std::uint8_t{99}, std::uint8_t{2}, std::uint8_t{3}}) {
+  // epoch, 4 three more config fields and no membership schedule: no
+  // reader.
+  for (const std::uint8_t schema : {std::uint8_t{99}, std::uint8_t{2},
+                                    std::uint8_t{3}, std::uint8_t{4}}) {
     std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
     bytes[0] = schema;  // schema field is the leading u32
     Reader r(bytes);
@@ -192,6 +198,18 @@ TEST(RecordingCodecTest, CorruptCountsAreDecodeErrors) {
     EncodeManifest(one, one_rec);
     const std::vector<std::uint8_t> bytes =
         max_count_at_first_difference(none, one, 8);
+    Reader r(bytes);
+    EXPECT_THROW((void)DecodeManifest(r), DecodeError);
+  }
+  {
+    RecordingManifest one_event;
+    one_event.membership = {MembershipEvent{1, true, 2}};
+    Writer none;
+    Writer one;
+    EncodeManifest(none, RecordingManifest{});
+    EncodeManifest(one, one_event);
+    const std::vector<std::uint8_t> bytes =
+        max_count_at_first_difference(none, one, 4);
     Reader r(bytes);
     EXPECT_THROW((void)DecodeManifest(r), DecodeError);
   }
