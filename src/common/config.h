@@ -161,8 +161,7 @@ struct ElasticConfig {
 /// first epoch boundary >= `epoch` with no other transition in progress,
 /// admit (join = true) or gracefully drain (join = false) slave index
 /// `slave` (0-based). Invalid events -- joining a member, draining a
-/// standby or the last member -- are skipped, counted, and traced. A master
-/// bundle's manifest carries the schedule (obs/recording.h).
+/// standby or the last member -- are skipped, counted, and traced.
 struct MembershipEvent {
   std::uint64_t epoch = 0;
   bool join = true;

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <variant>
@@ -21,6 +22,7 @@
 #include "core/membership.h"
 #include "core/partition_map.h"
 #include "core/replica_chain.h"
+#include "core/replication_ledger.h"
 #include "core/worker_pool.h"
 #include "gen/stream_source.h"
 #include "join/epoch_tag_sink.h"
@@ -72,12 +74,8 @@ struct PendingMove {
 struct MembershipTransition {
   bool join = false;
   SlaveIdx slave = 0;
-  std::uint64_t start_epoch = 0;
   Time started_wall = 0;  ///< for MasterSummary::membership_us
 };
-
-/// No pending buddy handover for a group (sentinel in `pending_buddy`).
-constexpr SlaveIdx kNoPendingBuddy = 0xFFFFFFFFu;
 
 }  // namespace
 
@@ -148,6 +146,11 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   obs::Counter& c_scale_outs = reg.GetCounter("master_policy_scale_outs");
   obs::Counter& c_scale_ins = reg.GetCounter("master_policy_scale_ins");
   obs::Counter& c_memb_skipped = reg.GetCounter("master_membership_skipped");
+  // Counts into a MasterSummary field and the counter mirroring it.
+  auto count = [](std::uint64_t& field, obs::Counter& c, std::uint64_t by = 1) {
+    field += by;
+    c.Add(by);
+  };
   // Wall-clock stage histograms (kWall: real elapsed time, excluded from
   // every deterministic export -- recorder snapshots and kMetrics frames).
   obs::HistogramMetric& wall_distribute =
@@ -177,15 +180,16 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   std::vector<double> occupancy(n, 0.0);
   std::vector<bool> in_flight(cfg.join.num_partitions, false);
   std::vector<std::uint64_t> batches_sent(n, 0);
+  // The newest batch each slave's load report answered, and the last
+  // join/leave reply each sent (see dispatch).
+  std::vector<std::uint64_t> reported(n, 0);
+  std::vector<std::optional<MsgType>> replies(n);
   std::vector<PendingMove> moves;
   std::uint64_t next_move_seq = 1;
 
   // Membership transition state: a sorted queue of scheduled events, the
   // policy's proposals behind them, and the (single) transition in
-  // progress. `pending_buddy` marks groups whose replica is being handed to
-  // a new buddy: the ring pointer switches only when the new buddy acks a
-  // full snapshot, so there is never a window where the only replica of a
-  // group lives on a node that is about to leave.
+  // progress.
   std::deque<MembershipEvent> schedule(opts.membership.begin(),
                                        opts.membership.end());
   std::stable_sort(schedule.begin(), schedule.end(),
@@ -197,50 +201,25 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   ElasticPolicy policy(ecfg);
 
   // Replication bookkeeping (see runner.h "Replication and failover"):
-  // retained tuple batches per (group, epoch), dropped when the current
-  // buddy acknowledges a checkpoint covering their epoch; `acked` is that
-  // watermark; `need_full` forces the next checkpoint of a group to be a
-  // full snapshot (initially, and after any owner or buddy change).
+  // retention, ack watermarks, full-snapshot flags, buddy handovers and the
+  // last sweep's debts, one record per group (core/replication_ledger.h).
   const bool repl = cfg.replication.enabled && n >= 2;
   const std::uint32_t ckpt_every =
       std::max<std::uint32_t>(1, cfg.replication.ckpt_interval_epochs);
   const std::uint32_t npart = cfg.join.num_partitions;
-  std::vector<std::deque<std::pair<std::uint64_t, std::vector<Rec>>>> retained(
-      repl ? npart : 0);
-  std::vector<std::uint64_t> acked(repl ? npart : 0, 0);
-  std::vector<bool> need_full(repl ? npart : 0, true);
-  // Per-group pending buddy handover (elastic membership): while set, the
-  // checkpoint sweeps ship the group to this rank in full, but pmap's ring
-  // pointer (and the old replica) stay authoritative until the new buddy
-  // acks -- there is never a window without a committed replica.
-  std::vector<SlaveIdx> pending_buddy(repl ? npart : 0, kNoPendingBuddy);
-  // Whether any tuple was ever distributed to a group: an untouched group
-  // has no state anywhere, so its buddy pointer may flip instantly without
-  // a snapshot handover (the owner-side store creates groups on first touch
-  // and silently skips checkpoint commands for absent ones).
-  std::vector<bool> touched(repl ? npart : 0, false);
-  // The newest checkpoint sweep's entries, per group, until the buddy they
-  // name acks them (see the shutdown drain).
-  struct SweepEntry {
-    std::uint64_t epoch;
-    SlaveIdx owner;
-    SlaveIdx buddy;
-  };
-  std::vector<std::optional<SweepEntry>> unacked(repl ? npart : 0);
+  ReplicationLedger ledger(repl ? npart : 0, pmap, members);
 
-  // Re-points a group's buddy to the owner's successor on the member ring.
-  // The new buddy holds no segments: the ack watermark resets, the next
-  // checkpoint must be a full snapshot, and any handover that was pending
-  // for the group is moot.
-  auto rering_buddy = [&](PartitionId pid, SlaveIdx owner) {
-    const std::vector<SlaveIdx> ring = members.Members();
-    if (ring.empty()) return;
-    const SlaveIdx cand = PartitionMap::RingSuccessor(owner, ring);
-    if (cand == owner) return;  // sole member: no distinct buddy exists
-    pmap.SetBuddy(pid, cand);
-    acked[pid] = 0;
-    need_full[pid] = true;
-    pending_buddy[pid] = kNoPendingBuddy;
+  // Ends (or aborts) the transition in progress.
+  auto finish_transition = [&] {
+    sum.membership_us += clock.Now() - trans->started_wall;
+    trans.reset();
+  };
+  // A membership milestone naming one slave: a trace instant and a flight
+  // recorder line.
+  auto note_member = [&](const char* kind, SlaveIdx t) {
+    ob.trace.Instant(kind, "membership", vt_now,
+                     {{"slave", static_cast<std::int64_t>(t) + 1}});
+    ob.flight.Record(vt_now, kind, "slave=" + std::to_string(t + 1));
   };
 
   // Dead-slave verdict: exclude the rank from all subsequent epochs, cancel
@@ -254,8 +233,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // a late frame from the evicted slave on another wait path) must not
     // re-run eviction side effects.
     if (!members.Evict(dead, sum.epochs)) return;
-    WallClock recovery_clock;
-    const Time recovery_t0 = recovery_clock.Now();
+    const Time recovery_t0 = clock.Now();
     ++sum.dead_slaves;
     c_dead.Inc();
     ob.trace.Instant("dead_slave", "fault", vt_now,
@@ -266,17 +244,10 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // A membership transition naming the dead rank is aborted: a joiner's
     // groups were already force-evacuated below like any member's, and a
     // leaver's remaining drain is subsumed by the failover.
-    if (trans && trans->slave == dead) {
-      sum.membership_us += clock.Now() - trans->started_wall;
-      trans.reset();
-    }
+    if (trans && trans->slave == dead) finish_transition();
     // Handovers pending toward the dead rank dissolve; the groups keep
     // their old (still committed) buddies.
-    if (repl) {
-      for (PartitionId pid = 0; pid < npart; ++pid) {
-        if (pending_buddy[pid] == dead) pending_buddy[pid] = kNoPendingBuddy;
-      }
-    }
+    ledger.DissolveHandoversTo(dead);
     // Cancel migrations the dead slave was party to. With replication, a
     // move whose supplier died before the consumer confirmed the install
     // leaves the group's live state in limbo (the transfer may never have
@@ -300,23 +271,18 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // One group's failover: reassign ownership, record the voiding entry,
     // and re-ring the buddy (the target usually *is* the old buddy, so the
     // group needs a fresh one -- starting from a full snapshot).
-    struct Adopt {
-      PartitionId pid;
-      std::uint64_t replay_from;
-    };
-    std::map<SlaveIdx, std::vector<Adopt>> adopts;
+    std::map<SlaveIdx, FailoverCmdMsg> adopts;
     auto fail_over = [&](PartitionId pid, SlaveIdx target) {
-      const std::uint64_t replay_from = acked[pid] + 1;
+      const std::uint64_t replay_from = ledger.Of(pid).committed + 1;
       if (target != pmap.BuddyOf(pid)) {
-        ++sum.degraded_failovers;
-        c_degraded.Inc();
+        count(sum.degraded_failovers, c_degraded);
       }
       pmap.SetOwner(pid, target);
-      adopts[target].push_back(Adopt{pid, replay_from});
+      adopts[target].entries.push_back(
+          FailoverCmdMsg::Entry{pid, replay_from});
       sum.failovers.push_back(
           FailoverRecord{pid, target + 1, replay_from, sum.epochs});
-      ++sum.groups_failed_over;
-      c_failed_over.Inc();
+      count(sum.groups_failed_over, c_failed_over);
       // `slave` is the adopting target (replay events key on it); `dead`
       // names the failed rank whose verdict the checker pairs this with.
       ob.trace.Instant(
@@ -329,18 +295,14 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
                        "pid=" + std::to_string(pid) + " target=" +
                            std::to_string(target + 1) + " replay_from=" +
                            std::to_string(replay_from));
-      rering_buddy(pid, target);
+      ledger.ReRing(pid, target);
     };
 
     std::uint64_t rehosted = 0;
     if (!survivors.empty()) {
       for (const EvacuationMove& ev :
            PlanEvacuation(pmap, dead, survivors, repl)) {
-        if (repl) {
-          fail_over(ev.pid, ev.target);
-        } else {
-          pmap.SetOwner(ev.pid, ev.target);
-        }
+        repl ? fail_over(ev.pid, ev.target) : pmap.SetOwner(ev.pid, ev.target);
         ++rehosted;
       }
       if (repl) {
@@ -358,36 +320,22 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         // their (live) owners re-checkpoint in full to a fresh buddy.
         for (PartitionId pid = 0; pid < npart; ++pid) {
           if (pmap.BuddyOf(pid) == dead && members.Active(pmap.OwnerOf(pid))) {
-            rering_buddy(pid, pmap.OwnerOf(pid));
+            ledger.ReRing(pid, pmap.OwnerOf(pid));
           }
         }
         // Failover commands first, then the retained batches in ascending
         // epoch order (per-channel FIFO: each target rebuilds every adopted
         // group from its replica before any replayed tuple arrives).
-        for (auto& [target, list] : adopts) {
-          FailoverCmdMsg fc;
+        for (auto& [target, fc] : adopts) {
           fc.dead = dead + 1;
-          for (const Adopt& a : list) {
-            fc.entries.push_back(FailoverCmdMsg::Entry{a.pid, a.replay_from});
-          }
           Writer w;
           Encode(w, fc);
           transport.Send(target + 1, Make(MsgType::kFailoverCmd, std::move(w)));
         }
-        for (auto& [target, list] : adopts) {
-          std::map<std::uint64_t, std::vector<Rec>> per_epoch;
-          for (const Adopt& a : list) {
-            for (const auto& [e, recs] : retained[a.pid]) {
-              if (e < a.replay_from) continue;
-              auto& dst = per_epoch[e];
-              dst.insert(dst.end(), recs.begin(), recs.end());
-            }
-          }
-          for (auto& [e, recs] : per_epoch) {
-            ++sum.replayed_batches;
-            sum.replayed_tuples += recs.size();
-            c_replay_batches.Inc();
-            c_replay_tuples.Add(recs.size());
+        for (const auto& [target, fc] : adopts) {
+          for (auto& [e, recs] : ledger.ReplayBatches(fc.entries)) {
+            count(sum.replayed_batches, c_replay_batches);
+            count(sum.replayed_tuples, c_replay_tuples, recs.size());
             ob.trace.Instant(
                 "replay", "repl", vt_now,
                 {{"slave", static_cast<std::int64_t>(target) + 1},
@@ -404,9 +352,8 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         }
       }
     }
-    sum.groups_rehosted += rehosted;
-    c_rehosted.Add(rehosted);
-    sum.recovery_us += recovery_clock.Now() - recovery_t0;
+    count(sum.groups_rehosted, c_rehosted, rehosted);
+    sum.recovery_us += clock.Now() - recovery_t0;
     SJOIN_INFO("master: slave " << dead + 1 << " declared dead; rehosted "
                                 << rehosted << " partition-groups onto "
                                 << survivors.size() << " survivors"
@@ -424,116 +371,90 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // confirmed, the withheld partition is released. Acks with an unmatched
   // seq are duplicates of finished moves and are ignored.
   auto handle_ack = [&](SlaveIdx src, const AckMsg& ack) {
-    for (auto it = moves.begin(); it != moves.end(); ++it) {
-      if (it->seq != ack.move_seq) continue;
-      if (src == it->sup) it->sup_acked = true;
-      if (src == it->con) it->con_acked = true;
-      if (it->sup_acked && it->con_acked) {
-        in_flight[it->pid] = false;
-        moves.erase(it);
-      }
-      return;
+    const auto it = std::find_if(moves.begin(), moves.end(), [&](auto& mv) {
+      return mv.seq == ack.move_seq;
+    });
+    if (it == moves.end()) return;
+    if (src == it->sup) it->sup_acked = true;
+    if (src == it->con) it->con_acked = true;
+    if (it->sup_acked && it->con_acked) {
+      in_flight[it->pid] = false;
+      moves.erase(it);
     }
   };
 
-  // Checkpoint-ack path, three cases in order: (1) the ack commits a
-  // pending buddy handover -- the new buddy holds a full snapshot, so the
-  // ring pointer flips to it and the retention it covers is released;
-  // (2) a regular ack from the group's current buddy advances the watermark
-  // (membership.h AcceptCheckpointAck); (3) everything else -- a late ack
-  // from a replaced buddy, a duplicate, anything from a rank no longer
-  // alive -- is dropped and counted, never re-entering eviction or
-  // retention bookkeeping.
+  // Checkpoint-ack path (ReplicationLedger::Apply): the ack commits a
+  // pending buddy handover, or advances the current buddy's watermark;
+  // everything else -- a late ack from a replaced buddy, a duplicate,
+  // anything from a rank no longer alive -- is dropped and counted, never
+  // re-entering eviction or retention bookkeeping.
   auto handle_ckpt_ack = [&](SlaveIdx src, const CheckpointAckMsg& ack) {
-    if (!repl || ack.partition_id >= npart) return;
-    const PartitionId pid = ack.partition_id;
-    if (std::optional<SweepEntry>& se = unacked[pid];
-        se && se->buddy == src && ack.covered_epoch >= se->epoch) {
-      se.reset();
-    }
-    if (members.Alive(src) && pending_buddy[pid] == src) {
-      pmap.SetBuddy(pid, src);
-      pending_buddy[pid] = kNoPendingBuddy;
-      acked[pid] = std::max(acked[pid], ack.covered_epoch);
-      auto& q = retained[pid];
-      while (!q.empty() && q.front().first <= acked[pid]) q.pop_front();
-      need_full[pid] = false;
-      ++sum.ckpt_acks;
-      sum.ckpt_bytes += ack.bytes;
-      c_acks.Inc();
-      c_ack_bytes.Add(ack.bytes);
-      ++sum.buddy_handovers;
-      c_handovers.Inc();
-      ob.trace.Instant(
-          "buddy_handover", "membership", vt_now,
-          {{"slave", static_cast<std::int64_t>(src) + 1},
-           {"pid", static_cast<std::int64_t>(pid)},
-           {"covered_epoch", static_cast<std::int64_t>(ack.covered_epoch)}});
+    const ReplicationLedger::AckVerdict verdict = ledger.Apply(src, ack);
+    if (verdict == ReplicationLedger::AckVerdict::kIgnored) return;
+    if (verdict == ReplicationLedger::AckVerdict::kStale) {
+      count(sum.stale_ckpt_acks, c_stale_acks);
       return;
     }
-    if (AcceptCheckpointAck(members.Alive(src), pmap.BuddyOf(pid) == src,
-                            ack.covered_epoch, acked[pid])) {
-      acked[pid] = ack.covered_epoch;
-      auto& q = retained[pid];
-      while (!q.empty() && q.front().first <= ack.covered_epoch) {
-        q.pop_front();
-      }
-      ++sum.ckpt_acks;
-      sum.ckpt_bytes += ack.bytes;
-      c_acks.Inc();
-      c_ack_bytes.Add(ack.bytes);
-      ob.trace.Instant(
-          "ckpt_ack", "repl", vt_now,
-          {{"slave", static_cast<std::int64_t>(src) + 1},
-           {"pid", static_cast<std::int64_t>(pid)},
-           {"covered_epoch", static_cast<std::int64_t>(ack.covered_epoch)}});
-      return;
-    }
-    ++sum.stale_ckpt_acks;
-    c_stale_acks.Inc();
+    count(sum.ckpt_acks, c_acks);
+    count(sum.ckpt_bytes, c_ack_bytes, ack.bytes);
+    const bool handover = verdict == ReplicationLedger::AckVerdict::kHandover;
+    if (handover) count(sum.buddy_handovers, c_handovers);
+    ob.trace.Instant(
+        handover ? "buddy_handover" : "ckpt_ack",
+        handover ? "membership" : "repl", vt_now,
+        {{"slave", static_cast<std::int64_t>(src) + 1},
+         {"pid", static_cast<std::int64_t>(ack.partition_id)},
+         {"covered_epoch", static_cast<std::int64_t>(ack.covered_epoch)}});
   };
 
-  // Frames that may arrive on any slave channel while the master waits for
-  // something else. Load reports are seq-matched at their one consumption
-  // site; here (and on every other wait path) a stray report is stale by
-  // construction and dropped, as is any unexpected type.
+  // Every frame a wait receives lands here. A load report counts only when
+  // it answers the newest batch sent to its slave; a join/leave reply is
+  // kept for the handshake awaiting it; anything else unexpected is dropped.
   auto dispatch = [&](SlaveIdx src, Message& msg) {
-    if (msg.type == MsgType::kAck) {
-      Reader r(msg.payload);
+    Reader r(msg.payload);
+    if (msg.type == MsgType::kLoadReport) {
+      const LoadReportMsg report = DecodeLoadReport(r);
+      if (report.seq == batches_sent[src]) {
+        occupancy[src] = report.avg_buffer_occupancy;
+        reported[src] = report.seq;
+      }
+    } else if (msg.type == MsgType::kAck) {
       handle_ack(src, DecodeAck(r));
     } else if (msg.type == MsgType::kMetrics) {
-      Reader r(msg.payload);
       MetricsMsg mm = DecodeMetrics(r);
       ob.cluster.Record(static_cast<Rank>(src) + 1,
                         static_cast<std::int64_t>(mm.epoch),
                         std::move(mm.samples));
     } else if (msg.type == MsgType::kCheckpointAck) {
-      Reader r(msg.payload);
       handle_ckpt_ack(src, DecodeCheckpointAck(r));
+    } else if (msg.type == MsgType::kJoinAck ||
+               msg.type == MsgType::kLeaveAck) {
+      replies[src] = msg.type;
     }
   };
 
-  // Bounded wait on one slave channel until `done()` holds. Non-matching
-  // frames are dispatched normally. On strike-out the rank either gets the
-  // dead-slave verdict (`verdict`, the migration semantics) or the wait is
-  // abandoned for this epoch (handover semantics: the per-epoch load-report
-  // wait stays the authoritative failure detector, so a slow third party
-  // never costs an innocent buddy its life).
-  auto wait_on = [&](SlaveIdx src, auto&& done, bool verdict) {
+  // The master's one bounded receive loop: waits on one slave channel until
+  // `done()` holds, dispatching every frame. On the (max_strikes + 1)-th
+  // consecutive timeout the rank either gets the dead-slave verdict
+  // (`verdict`) or the wait is abandoned (handovers and the shutdown drain:
+  // the load-report wait stays the authoritative failure detector, so a
+  // slow third party never costs an innocent buddy its life). A closed
+  // channel is an instant verdict.
+  auto wait_on = [&](SlaveIdx src, auto&& done, bool verdict,
+                     Duration timeout, std::uint32_t max_strikes) {
     std::uint32_t strikes = 0;
     while (!done()) {
       if (!members.Alive(src)) return;
       RecvResult res = [&] {
         obs::ScopedTimer wall_rcv(&wall_recv);
-        return transport.RecvFromTimed(static_cast<Rank>(src) + 1,
-                                       opts.recv_timeout_us);
+        return transport.RecvFromTimed(static_cast<Rank>(src) + 1, timeout);
       }();
       if (res.status == RecvStatus::kClosed) {
         evict(src);
         return;
       }
       if (res.status == RecvStatus::kTimeout) {
-        if (++strikes > opts.recv_max_retries) {
+        if (++strikes > max_strikes) {
           if (verdict) evict(src);
           return;
         }
@@ -544,30 +465,20 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     }
   };
 
-  // Drives every in-flight migration to completion (both movers acked).
-  // Bounded like the epoch loop: an unresponsive mover gets the dead-slave
-  // verdict, which cancels its moves.
+  // Drives every in-flight migration to completion (both movers acked),
+  // waiting on the front move's next mover. Bounded like the epoch loop:
+  // an unresponsive mover gets the dead-slave verdict, which cancels its
+  // moves.
   auto drain_moves = [&] {
-    std::uint32_t strikes = 0;
-    while (!moves.empty() && members.LiveCount() > 0) {
+    auto mover = [&] {
       const PendingMove& mv = moves.front();
-      const SlaveIdx src = !mv.sup_acked ? mv.sup : mv.con;
-      RecvResult res = transport.RecvFromTimed(static_cast<Rank>(src) + 1,
-                                               opts.recv_timeout_us);
-      if (res.status == RecvStatus::kClosed) {
-        evict(src);
-        strikes = 0;
-        continue;
-      }
-      if (res.status == RecvStatus::kTimeout) {
-        if (++strikes > opts.recv_max_retries) {
-          evict(src);
-          strikes = 0;
-        }
-        continue;
-      }
-      strikes = 0;
-      dispatch(src, res.msg);
+      return !mv.sup_acked ? mv.sup : mv.con;
+    };
+    while (!moves.empty() && members.LiveCount() > 0) {
+      const SlaveIdx src = mover();
+      wait_on(
+          src, [&] { return moves.empty() || mover() != src; },
+          /*verdict=*/true, opts.recv_timeout_us, opts.recv_max_retries);
     }
   };
 
@@ -587,59 +498,67 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     transport.Send(static_cast<Rank>(con) + 1,
                    Make(MsgType::kInstallCmd, std::move(wi)));
     pmap.SetOwner(pid, con);
-    // The new owner's journal cannot continue the old owner's segment
-    // chain: its first checkpoint must be a full snapshot. The buddy (and
-    // its acked segments) stay valid across the move.
-    if (repl) need_full[pid] = true;
+    // The buddy (and its acked segments) stay valid across the move.
+    if (repl) ledger.ForceFull(pid);
     return seq;
   };
 
-  // One migration on behalf of a membership transition.
-  auto issue_drain_move = [&](const RebalanceMove& mv) {
-    const std::uint64_t seq = issue_move(mv.pid, mv.from, mv.to);
-    ++sum.drain_moves;
-    c_drain_moves.Inc();
-    ob.trace.Instant("drain_move", "membership", vt_now,
-                     {{"pid", static_cast<std::int64_t>(mv.pid)},
-                      {"from", static_cast<std::int64_t>(mv.from) + 1},
-                      {"to", static_cast<std::int64_t>(mv.to) + 1},
-                      {"seq", static_cast<std::int64_t>(seq)}});
+  // Executes up to `chunk` moves of a transition's plan one at a time (two
+  // in-flight transfers from different donors would arrive in wall-racy
+  // order; the byte-identity matrix pins the install order). Entries an
+  // eviction invalidated are dropped, the next epoch re-plans. Returns
+  // whether any move was issued.
+  auto run_plan = [&](const std::vector<RebalanceMove>& plan,
+                      std::uint32_t chunk) {
+    bool moved = false;
+    for (std::size_t i = 0; i < plan.size() && i < chunk && trans; ++i) {
+      const RebalanceMove& mv = plan[i];
+      if (in_flight[mv.pid] || pmap.OwnerOf(mv.pid) != mv.from ||
+          !members.Active(mv.from) || !members.Active(mv.to)) {
+        continue;
+      }
+      const std::uint64_t seq = issue_move(mv.pid, mv.from, mv.to);
+      count(sum.drain_moves, c_drain_moves);
+      ob.trace.Instant("drain_move", "membership", vt_now,
+                       {{"pid", static_cast<std::int64_t>(mv.pid)},
+                        {"from", static_cast<std::int64_t>(mv.from) + 1},
+                        {"to", static_cast<std::int64_t>(mv.to) + 1},
+                        {"seq", static_cast<std::int64_t>(seq)}});
+      moved = true;
+      drain_moves();
+    }
+    return moved;
   };
 
   // One epoch's buddy-handover chunk. `target(pid)` names the desired new
-  // buddy (kNoPendingBuddy = leave the group alone). Untouched groups flip
-  // instantly (no state exists to snapshot); for the rest the owner is
-  // commanded to ship a full snapshot to the new buddy, and this call
-  // blocks until each issued handover commits (handle_ckpt_ack) or
-  // dissolves (an eviction re-ringed the group). Returns true while any
-  // group still awaits a handover after this chunk.
+  // buddy (nullopt = leave the group alone). Untouched groups flip
+  // instantly (no state exists to snapshot); for the rest the owner ships a
+  // full snapshot to the new buddy, and this call blocks until each issued
+  // handover commits or dissolves. Returns true while any group still
+  // awaits a handover after this chunk.
   auto run_handovers = [&](auto&& target, std::uint32_t chunk) -> bool {
     if (!repl) return false;
     std::vector<PartitionId> issued;
     std::size_t remaining = 0;
     for (PartitionId pid = 0; pid < npart; ++pid) {
-      const SlaveIdx want = target(pid);
-      if (want == kNoPendingBuddy) continue;
-      if (!touched[pid]) {
-        pmap.SetBuddy(pid, want);
-        acked[pid] = 0;
-        need_full[pid] = true;
-        pending_buddy[pid] = kNoPendingBuddy;
-        ++sum.buddy_handovers;
-        c_handovers.Inc();
+      const std::optional<SlaveIdx> want = target(pid);
+      if (!want) continue;
+      if (!ledger.Of(pid).touched) {
+        ledger.ChangeBuddy(pid, *want);
+        count(sum.buddy_handovers, c_handovers);
         ob.trace.Instant("buddy_handover", "membership", vt_now,
-                         {{"slave", static_cast<std::int64_t>(want) + 1},
+                         {{"slave", static_cast<std::int64_t>(*want) + 1},
                           {"pid", static_cast<std::int64_t>(pid)},
                           {"covered_epoch", 0}});
         continue;
       }
       ++remaining;
       if (issued.size() >= chunk) continue;
-      pending_buddy[pid] = want;
+      ledger.BeginHandover(pid, *want);
       CkptCmdMsg cmd;
       cmd.covered_epoch = sum.epochs;
       cmd.entries.push_back(
-          CkptCmdMsg::Entry{pid, static_cast<Rank>(want) + 1, true, 0});
+          CkptCmdMsg::Entry{pid, static_cast<Rank>(*want) + 1, true, 0});
       Writer w;
       Encode(w, cmd);
       transport.Send(static_cast<Rank>(pmap.OwnerOf(pid)) + 1,
@@ -648,58 +567,39 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     }
     std::size_t committed = 0;
     for (PartitionId pid : issued) {
-      const SlaveIdx want = pending_buddy[pid];
-      if (want == kNoPendingBuddy) {
-        ++committed;  // resolved while waiting on an earlier group
-        continue;
+      // A handover may have resolved while waiting on an earlier group.
+      if (const std::optional<SlaveIdx> want = ledger.Of(pid).pending) {
+        wait_on(
+            *want, [&] { return !ledger.Of(pid).pending; },
+            /*verdict=*/false, opts.recv_timeout_us, opts.recv_max_retries);
       }
-      wait_on(
-          want, [&] { return pending_buddy[pid] == kNoPendingBuddy; },
-          /*verdict=*/false);
-      if (pending_buddy[pid] == kNoPendingBuddy) ++committed;
+      if (!ledger.Of(pid).pending) ++committed;
     }
     return remaining > committed;
   };
 
-  // Join/leave handshake (bounded): send the command, wait for the matching
-  // reply; every timeout resends with a doubled per-attempt timeout capped
-  // at kBackoffCap, and after kMaxResends resends the peer gets the
+  // Join/leave handshake: send the command and wait for the reply `want`;
+  // every timeout resends with a doubled per-attempt timeout capped at
+  // kBackoffCap, and the timeout after kMaxResends resends is the
   // dead-slave verdict. Returns false when the peer was evicted instead of
   // replying.
   auto handshake = [&](SlaveIdx dst, auto&& send_cmd, MsgType want) -> bool {
     constexpr std::uint32_t kMaxResends = 3;
     constexpr Duration kBackoffCap = 2 * kUsPerSec;
     Duration timeout = opts.recv_timeout_us;
-    const Duration cap = std::max<Duration>(opts.recv_timeout_us, kBackoffCap);
-    std::uint32_t resends = 0;
+    replies[dst].reset();
     send_cmd();
-    while (true) {
-      RecvResult res =
-          transport.RecvFromTimed(static_cast<Rank>(dst) + 1, timeout);
-      if (res.status == RecvStatus::kClosed) {
-        evict(dst);
-        return false;
-      }
-      if (res.status == RecvStatus::kTimeout) {
-        if (resends >= kMaxResends) {
-          evict(dst);
-          return false;
-        }
-        ++resends;
-        ++sum.handshake_retries;
-        c_hs_retries.Inc();
-        timeout = std::min<Duration>(timeout * 2, cap);
-        send_cmd();
-        continue;
-      }
-      if (res.msg.type == want) return true;
-      dispatch(dst, res.msg);
+    for (std::uint32_t resends = 0;; ++resends) {
+      wait_on(
+          dst, [&] { return replies[dst] == want; },
+          /*verdict=*/resends >= kMaxResends, timeout, /*max_strikes=*/0);
+      if (replies[dst] == want) return true;
+      if (!members.Alive(dst)) return false;
+      count(sum.handshake_retries, c_hs_retries);
+      timeout = std::min(timeout * 2,
+                         std::max<Duration>(opts.recv_timeout_us, kBackoffCap));
+      send_cmd();
     }
-  };
-
-  auto finish_transition = [&] {
-    sum.membership_us += clock.Now() - trans->started_wall;
-    trans.reset();
   };
 
   // ---- membership step (top of epoch, before distribution) ---------------
@@ -731,14 +631,13 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
                         ? members.Alive(t) && !members.Member(t)
                         : members.Active(t) && members.MemberCount() > 1);
       if (!valid) {
-        ++sum.membership_skipped;
-        c_memb_skipped.Inc();
+        count(sum.membership_skipped, c_memb_skipped);
         ob.trace.Instant("membership_skip", "membership", vt_now,
                          {{"slave", static_cast<std::int64_t>(t) + 1},
                           {"join", ev->join ? 1 : 0}});
         return;
       }
-      trans = MembershipTransition{ev->join, t, sum.epochs, clock.Now()};
+      trans = MembershipTransition{ev->join, t, clock.Now()};
       if (ev->join) {
         // Admission handshake: the joiner resyncs its epoch ordinal to
         // admit_epoch - 1 and acks; from this epoch on it receives batches.
@@ -753,12 +652,8 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
             MsgType::kJoinAck);
         if (!ok) return;  // evicted; evict() aborted the transition
         members.Admit(t);
-        ++sum.joins;
-        c_joins.Inc();
-        ob.trace.Instant("member_join", "membership", vt_now,
-                         {{"slave", static_cast<std::int64_t>(t) + 1}});
-        ob.flight.Record(vt_now, "member_join",
-                         "slave=" + std::to_string(t + 1));
+        count(sum.joins, c_joins);
+        note_member("member_join", t);
       } else {
         ob.trace.Instant("leave_begin", "membership", vt_now,
                          {{"slave", static_cast<std::int64_t>(t) + 1}});
@@ -774,53 +669,31 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       for (PartitionId pid = 0; pid < cfg.join.num_partitions; ++pid) {
         if (!members.Active(pmap.OwnerOf(pid))) {
           pmap.SetOwner(pid, t);
-          if (repl) rering_buddy(pid, t);
+          if (repl) ledger.ReRing(pid, t);
         }
       }
       // Rebalance toward the joiner's share, `chunk` groups per epoch; the
       // plan is recomputed from the live map every epoch, so convergence
       // survives concurrent evictions and reorg history.
-      const std::vector<RebalanceMove> plan =
-          PlanAdmission(pmap, members.Members(), t, repl);
-      bool moved = false;
-      for (std::size_t i = 0; i < plan.size() && i < chunk; ++i) {
-        const RebalanceMove& mv = plan[i];
-        // An eviction inside a previous move's wait can invalidate the
-        // rest of the plan (a failover re-homed the group, or a mover
-        // died); stale entries are dropped, the next epoch re-plans.
-        if (in_flight[mv.pid] || pmap.OwnerOf(mv.pid) != mv.from ||
-            !members.Active(mv.from) || !members.Active(mv.to)) {
-          continue;
-        }
-        issue_drain_move(mv);
-        moved = true;
-        // One move at a time: two in-flight transfers from different
-        // donors would arrive at the joiner in wall-racy order, and the
-        // byte-identity matrix pins the install order.
-        drain_moves();
-        if (!trans) return;  // an eviction aborted the transition
+      if (run_plan(PlanAdmission(pmap, members.Members(), t, repl), chunk)) {
+        return;
       }
-      if (moved) return;
       // Ownership settled: re-home replicas so the joiner serves as buddy
       // for its ring predecessor's groups. Groups the joiner owns keep
       // their existing (still valid) buddies.
-      if (repl) {
-        const std::vector<SlaveIdx> ring = members.Members();
-        const bool more = run_handovers(
-            [&](PartitionId pid) -> SlaveIdx {
-              const SlaveIdx owner = pmap.OwnerOf(pid);
-              if (owner == t || pmap.BuddyOf(pid) == t) return kNoPendingBuddy;
-              if (in_flight[pid] || !members.Active(owner)) {
-                return kNoPendingBuddy;
-              }
-              return PartitionMap::RingSuccessor(owner, ring) == t
-                         ? t
-                         : kNoPendingBuddy;
-            },
-            chunk);
-        if (!trans) return;
-        if (more) return;
-      }
+      const std::vector<SlaveIdx> ring = members.Members();
+      const bool more = run_handovers(
+          [&](PartitionId pid) -> std::optional<SlaveIdx> {
+            const SlaveIdx owner = pmap.OwnerOf(pid);
+            if (owner == t || pmap.BuddyOf(pid) == t || in_flight[pid] ||
+                !members.Active(owner) ||
+                PartitionMap::RingSuccessor(owner, ring) != t) {
+              return std::nullopt;
+            }
+            return t;
+          },
+          chunk);
+      if (!trans || more) return;
       finish_transition();
     } else {
       // Phase 1: drain ownership off the leaver, `chunk` groups per epoch
@@ -830,40 +703,25 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         if (m != t) remaining.push_back(m);
       }
       if (pmap.CountOf(t) > 0) {
-        const std::vector<RebalanceMove> plan =
-            PlanDrain(pmap, t, remaining, repl);
-        for (std::size_t i = 0; i < plan.size() && i < chunk; ++i) {
-          const RebalanceMove& mv = plan[i];
-          if (in_flight[mv.pid] || pmap.OwnerOf(mv.pid) != mv.from ||
-              !members.Active(mv.from) || !members.Active(mv.to)) {
-            continue;  // invalidated by an eviction mid-chunk; re-plan next
-          }
-          issue_drain_move(mv);
-          // Serialized like admission moves (deterministic install order).
-          drain_moves();
-          if (!trans) break;
-        }
+        run_plan(PlanDrain(pmap, t, remaining, repl), chunk);
         if (!trans || pmap.CountOf(t) > 0) return;
       }
       // Phase 2: hand the leaver's replicas to the owners' new ring
       // successors (the ring without the leaver).
-      if (repl) {
-        const bool more = run_handovers(
-            [&](PartitionId pid) -> SlaveIdx {
-              if (pmap.BuddyOf(pid) != t) return kNoPendingBuddy;
-              const SlaveIdx owner = pmap.OwnerOf(pid);
-              if (owner == t || in_flight[pid] || !members.Active(owner) ||
-                  remaining.empty()) {
-                return kNoPendingBuddy;
-              }
-              const SlaveIdx want =
-                  PartitionMap::RingSuccessor(owner, remaining);
-              return want == owner ? kNoPendingBuddy : want;
-            },
-            chunk);
-        if (!trans) return;
-        if (more) return;
-      }
+      const bool more = run_handovers(
+          [&](PartitionId pid) -> std::optional<SlaveIdx> {
+            const SlaveIdx owner = pmap.OwnerOf(pid);
+            if (pmap.BuddyOf(pid) != t || owner == t || in_flight[pid] ||
+                !members.Active(owner) || remaining.empty()) {
+              return std::nullopt;
+            }
+            const SlaveIdx want =
+                PartitionMap::RingSuccessor(owner, remaining);
+            if (want == owner) return std::nullopt;
+            return want;
+          },
+          chunk);
+      if (!trans || more) return;
       // Phase 3: farewell handshake; the leaver drops its (now obsolete)
       // replica chains and returns to standby. The ack is sent by its join
       // thread, so it orders after every extract and checkpoint this node
@@ -879,14 +737,55 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
           MsgType::kLeaveAck);
       if (!ok) return;
       members.Retire(t);
-      ++sum.leaves;
-      c_leaves.Inc();
-      ob.trace.Instant("member_leave", "membership", vt_now,
-                       {{"slave", static_cast<std::int64_t>(t) + 1}});
-      ob.flight.Record(vt_now, "member_leave",
-                       "slave=" + std::to_string(t + 1));
+      count(sum.leaves, c_leaves);
+      note_member("member_leave", t);
       finish_transition();
     }
+  };
+
+  // A member's groups that are not in flight, ascending.
+  auto settled = [&](SlaveIdx slave) {
+    std::vector<PartitionId> pids;
+    for (PartitionId pid : pmap.PartitionsOf(slave)) {
+      if (!in_flight[pid]) pids.push_back(pid);
+    }
+    return pids;
+  };
+
+  // Ships a member the buffered runs of its settled groups as one
+  // kTupleBatch, retaining each group's run until a checkpoint covering
+  // this epoch is acknowledged -- it is the failover replay. The final
+  // sweep skips an empty batch (no load report answers it).
+  auto send_batch = [&](SlaveIdx m, bool skip_empty) {
+    TupleBatchMsg batch;
+    for (PartitionId pid : settled(m)) {
+      std::vector<Rec> run = buffer.DrainPartition(pid);
+      if (run.empty()) continue;
+      batch.recs.insert(batch.recs.end(), run.begin(), run.end());
+      if (repl) ledger.Retain(pid, sum.epochs, std::move(run));
+    }
+    if (skip_empty && batch.recs.empty()) return;
+    count(sum.tuples_sent, c_tuples, batch.recs.size());
+    Writer w(TupleBatchMsg::WireSize(batch.recs.size(), tb));
+    {
+      obs::ScopedTimer wall_enc(&wall_encode);
+      Encode(w, batch, tb);
+    }
+    // Causal trace context rides the frame header: the per-send span id
+    // doubles as the flow id, so the slave's receive-side FlowFinish binds
+    // to exactly this send in the stitched distributed trace.
+    Message msg = Make(MsgType::kTupleBatch, std::move(w));
+    msg.trace_id = run_trace_id;
+    msg.parent_span = ob.trace.NextSpanId();
+    msg.send_vt = vt_now;
+    ob.trace.FlowStart("batch_flow", "flow", vt_now, msg.parent_span,
+                       {{"epoch", static_cast<std::int64_t>(sum.epochs)},
+                        {"slave", static_cast<std::int64_t>(m) + 1}});
+    {
+      obs::ScopedTimer wall_snd(&wall_send);
+      transport.Send(static_cast<Rank>(m) + 1, std::move(msg));
+    }
+    ++batches_sent[m];
   };
 
   // Clock sync opens every connection (Algorithm 1 line 18 analogue).
@@ -905,8 +804,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     if (exhausted || epoch_start > opts.run_for) break;
     if (members.LiveCount() == 0) break;
     SleepUntil(clock, epoch_start);
-    ++sum.epochs;
-    c_epochs.Inc();
+    count(sum.epochs, c_epochs);
     vt_now = epoch_start;
     SetLogVt(epoch_start);
     g_watermark.Set(static_cast<double>(epoch_start));
@@ -930,91 +828,42 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // A trace is drained by virtual epoch time (tuple timestamps against the
     // epoch boundary), so the distributed tuple set is deterministic; the
     // live source is drained by the wall clock.
+    std::vector<Rec> arrivals;
+    std::span<const Rec> in = arrivals;
     if (trace != nullptr) {
+      const std::size_t from = trace_pos;
       while (trace_pos < trace->size() &&
              (*trace)[trace_pos].ts <= epoch_start) {
-        const Rec& rec = (*trace)[trace_pos++];
-        const PartitionId pid = PartitionOf(rec.key, cfg.join.num_partitions);
-        ++group_tuples[pid];
-        buffer.Add(rec, pid);
+        ++trace_pos;
       }
+      in = std::span<const Rec>(*trace).subspan(from, trace_pos - from);
     } else {
-      std::vector<Rec> arrivals;
       source.DrainUntil(clock.Now(), arrivals);
-      for (const Rec& rec : arrivals) {
-        const PartitionId pid = PartitionOf(rec.key, cfg.join.num_partitions);
-        ++group_tuples[pid];
-        buffer.Add(rec, pid);
-      }
+      in = arrivals;
+    }
+    for (const Rec& rec : in) {
+      const PartitionId pid = PartitionOf(rec.key, npart);
+      ++group_tuples[pid];
+      buffer.Add(rec, pid);
     }
 
     // Skew ratio: max/median tuples per *loaded* group this epoch (1.0 for
     // a uniform or empty epoch). Exported as a stable gauge and fed to the
     // elastic policy's scale-in veto below.
-    double skew_ratio = 1.0;
-    {
-      std::vector<std::uint64_t> loaded;
-      for (std::uint64_t c : group_tuples) {
-        if (c > 0) loaded.push_back(c);
-      }
-      if (!loaded.empty()) {
-        std::sort(loaded.begin(), loaded.end());
-        const std::uint64_t median = loaded[loaded.size() / 2];
-        if (median > 0) {
-          skew_ratio =
-              static_cast<double>(loaded.back()) / static_cast<double>(median);
-        }
-      }
-    }
+    std::erase(group_tuples, 0);
+    std::sort(group_tuples.begin(), group_tuples.end());
+    const double skew_ratio =
+        group_tuples.empty()
+            ? 1.0
+            : static_cast<double>(group_tuples.back()) /
+                  static_cast<double>(group_tuples[group_tuples.size() / 2]);
     g_skew.Set(skew_ratio);
 
     // Distribute serially; each live slave's comm module answers with its
-    // load report for exactly this batch (seq-matched below).
+    // load report for exactly this batch (seq-matched in dispatch).
     {
       obs::ScopedTimer wall_dist(&wall_distribute);
-      for (Rank s = 1; s <= n; ++s) {
-        if (!members.Active(s - 1)) continue;
-        std::vector<PartitionId> pids;
-        for (PartitionId pid : pmap.PartitionsOf(s - 1)) {
-          if (!in_flight[pid]) pids.push_back(pid);
-        }
-        TupleBatchMsg batch;
-        batch.recs = buffer.DrainFor(pids);
-        sum.tuples_sent += batch.recs.size();
-        c_tuples.Add(batch.recs.size());
-        if (repl && !batch.recs.empty()) {
-          // Retain this epoch's tuples per group until the covering
-          // checkpoint is acknowledged -- they are the failover replay.
-          std::map<PartitionId, std::vector<Rec>> by_pid;
-          for (const Rec& rec : batch.recs) {
-            by_pid[PartitionOf(rec.key, npart)].push_back(rec);
-          }
-          for (auto& [pid, recs] : by_pid) {
-            touched[pid] = true;
-            retained[pid].emplace_back(sum.epochs, std::move(recs));
-          }
-        }
-        Writer w(TupleBatchMsg::WireSize(batch.recs.size(), tb));
-        {
-          obs::ScopedTimer wall_enc(&wall_encode);
-          Encode(w, batch, tb);
-        }
-        // Causal trace context rides the frame header: the per-send span id
-        // doubles as the flow id, so the slave's receive-side FlowFinish
-        // binds to exactly this send in the stitched distributed trace.
-        Message msg = Make(MsgType::kTupleBatch, std::move(w));
-        msg.trace_id = run_trace_id;
-        msg.parent_span = ob.trace.NextSpanId();
-        msg.send_vt = epoch_start;
-        ob.trace.FlowStart("batch_flow", "flow", epoch_start, msg.parent_span,
-                           {{"epoch", static_cast<std::int64_t>(sum.epochs)},
-                            {"slave", static_cast<std::int64_t>(s)}});
-        {
-          obs::ScopedTimer wall_snd(&wall_send);
-          transport.Send(s, std::move(msg));
-        }
-        ++batches_sent[s - 1];
-      }
+      for (SlaveIdx m : members.Members()) send_batch(m, /*skip_empty=*/false);
     }
     ob.trace.Complete(
         "distribute", "epoch", epoch_start, 0,
@@ -1024,41 +873,12 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // Collect this epoch's load reports. Every receive is bounded: after
     // recv_max_retries consecutive timeouts the slave is declared dead and
     // the epoch moves on -- the master never blocks on a crashed or hung
-    // peer. Migration acks ride the same channels and are consumed here.
-    for (Rank s = 1; s <= n; ++s) {
-      if (!members.Active(s - 1)) continue;
-      std::uint32_t strikes = 0;
-      while (members.Alive(s - 1)) {
-        RecvResult res = [&] {
-          obs::ScopedTimer wall_rcv(&wall_recv);
-          return transport.RecvFromTimed(s, opts.recv_timeout_us);
-        }();
-        if (res.status == RecvStatus::kClosed) {
-          // The peer (or the whole transport) is gone; instant verdict.
-          evict(s - 1);
-          break;
-        }
-        if (res.status == RecvStatus::kTimeout) {
-          if (++strikes > opts.recv_max_retries) {
-            evict(s - 1);
-            break;
-          }
-          continue;
-        }
-        strikes = 0;
-        if (res.msg.type == MsgType::kLoadReport) {
-          Reader lr(res.msg.payload);
-          const LoadReportMsg report = DecodeLoadReport(lr);
-          // Only the report answering the batch just sent counts; stale or
-          // duplicated reports (seq mismatch) are discarded.
-          if (report.seq != batches_sent[s - 1]) continue;
-          occupancy[s - 1] = report.avg_buffer_occupancy;
-          break;
-        }
-        // Migration acks, metrics snapshots, and checkpoint acks ride the
-        // same channel and are consumed here (dispatch).
-        dispatch(s - 1, res.msg);
-      }
+    // peer. Migration acks, metrics snapshots and checkpoint acks ride the
+    // same channels and are dispatched on the way.
+    for (SlaveIdx m : members.Members()) {
+      wait_on(
+          m, [&] { return reported[m] == batches_sent[m]; },
+          /*verdict=*/true, opts.recv_timeout_us, opts.recv_max_retries);
     }
 
     // Epoch-lag gauges: how many distribution epochs each rank trails the
@@ -1076,32 +896,19 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // cluster, not to its own transient.
     if (elastic && ecfg.policy && !trans && proposals.empty()) {
       double occ = 0.0;
-      std::uint32_t cnt = 0;
-      for (SlaveIdx m : members.Members()) {
-        occ += occupancy[m];
-        ++cnt;
-      }
+      for (SlaveIdx m : members.Members()) occ += occupancy[m];
+      const std::uint32_t cnt = members.MemberCount();
       const ScaleDecision d = policy.Observe(
-          cnt > 0 ? occ / cnt : 0.0, members.MemberCount(),
+          cnt > 0 ? occ / cnt : 0.0, cnt,
           static_cast<std::uint32_t>(members.Standbys().size()), skew_ratio);
-      if (d == ScaleDecision::kOut) {
-        const SlaveIdx t = members.Standbys().front();
-        proposals.push_back(MembershipEvent{sum.epochs, true, t});
-        ++sum.policy_scale_outs;
-        c_scale_outs.Inc();
-        ob.trace.Instant("policy_scale_out", "membership", vt_now,
-                         {{"slave", static_cast<std::int64_t>(t) + 1}});
-        ob.flight.Record(vt_now, "policy_scale_out",
-                         "slave=" + std::to_string(t + 1));
-      } else if (d == ScaleDecision::kIn) {
-        const SlaveIdx t = members.Members().back();
-        proposals.push_back(MembershipEvent{sum.epochs, false, t});
-        ++sum.policy_scale_ins;
-        c_scale_ins.Inc();
-        ob.trace.Instant("policy_scale_in", "membership", vt_now,
-                         {{"slave", static_cast<std::int64_t>(t) + 1}});
-        ob.flight.Record(vt_now, "policy_scale_in",
-                         "slave=" + std::to_string(t + 1));
+      if (d != ScaleDecision::kNone) {
+        const bool out = d == ScaleDecision::kOut;
+        const SlaveIdx t =
+            out ? members.Standbys().front() : members.Members().back();
+        proposals.push_back(MembershipEvent{sum.epochs, out, t});
+        count(out ? sum.policy_scale_outs : sum.policy_scale_ins,
+              out ? c_scale_outs : c_scale_ins);
+        note_member(out ? "policy_scale_out" : "policy_scale_in", t);
       }
     }
 
@@ -1111,40 +918,21 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // move completes, after which the new owner checkpoints in full); an
     // owner that no longer holds a listed group skips it silently.
     if (repl && sum.epochs % ckpt_every == 0) {
-      ++sum.ckpt_sweeps;
-      c_sweeps.Inc();
+      count(sum.ckpt_sweeps, c_sweeps);
       ob.trace.Instant("ckpt_sweep", "repl", vt_now,
                        {{"epoch", static_cast<std::int64_t>(sum.epochs)}});
       ob.flight.Record(vt_now, "ckpt_sweep",
                        "epoch=" + std::to_string(sum.epochs));
-      std::fill(unacked.begin(), unacked.end(), std::nullopt);
-      for (Rank s = 1; s <= n; ++s) {
-        if (!members.Active(s - 1)) continue;
+      ledger.BeginSweep();
+      for (SlaveIdx m : members.Members()) {
         CkptCmdMsg cmd;
         cmd.covered_epoch = sum.epochs;
-        for (PartitionId pid : pmap.PartitionsOf(s - 1)) {
-          if (in_flight[pid]) continue;
-          SlaveIdx b = pmap.BuddyOf(pid);
-          bool full = need_full[pid];
-          std::uint64_t committed = acked[pid];
-          if (pending_buddy[pid] != kNoPendingBuddy) {
-            // Mid-handover: checkpoints go to the *new* buddy in full; the
-            // ring pointer (and the old replica) stay authoritative until
-            // the new buddy's ack commits the handover.
-            b = pending_buddy[pid];
-            full = true;
-            committed = 0;  // `acked` is the old buddy's watermark
-          }
-          if (!members.Active(b) || b == s - 1) continue;
-          cmd.entries.push_back(CkptCmdMsg::Entry{pid, b + 1, full, committed});
-          if (pending_buddy[pid] == kNoPendingBuddy) need_full[pid] = false;
-          // An untouched group's segment, if shipped at all, is empty.
-          if (touched[pid]) unacked[pid] = SweepEntry{sum.epochs, s - 1, b};
-        }
+        cmd.entries = ledger.SweepEntries(m, sum.epochs, settled(m));
         if (cmd.entries.empty()) continue;
         Writer w;
         Encode(w, cmd);
-        transport.Send(s, Make(MsgType::kCkptCmd, std::move(w)));
+        transport.Send(static_cast<Rank>(m) + 1,
+                       Make(MsgType::kCkptCmd, std::move(w)));
       }
     }
 
@@ -1155,13 +943,9 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // so a master running late reorganizes at the same epoch as its replay.
     if (epoch_start >= next_reorg && moves.empty() && !trans) {
       next_reorg += cfg.epoch.t_rep;
-      std::vector<SlaveIdx> live_idx;
+      const std::vector<SlaveIdx> live_idx = members.Members();
       std::vector<double> occ_live;
-      for (SlaveIdx i = 0; i < n; ++i) {
-        if (!members.Active(i)) continue;
-        live_idx.push_back(i);
-        occ_live.push_back(occupancy[i]);
-      }
+      for (SlaveIdx i : live_idx) occ_live.push_back(occupancy[i]);
       std::vector<Role> roles = ClassifySlaves(occ_live, cfg.balance, &reg);
       for (const MovePlan& plan : PairSuppliersWithConsumers(roles)) {
         const SlaveIdx sup = live_idx[plan.supplier];
@@ -1177,8 +961,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         PartitionId pid =
             pids[rng.NextBounded(static_cast<std::uint32_t>(pids.size()))];
         const std::uint64_t seq = issue_move(pid, sup, con);
-        ++sum.migrations;
-        c_migrations.Inc();
+        count(sum.migrations, c_migrations);
         ob.trace.Instant("migrate", "reorg", vt_now,
                          {{"pid", static_cast<std::int64_t>(pid)},
                           {"from", static_cast<std::int64_t>(sup) + 1},
@@ -1205,40 +988,15 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // kShutdown, so a segment still in flight to it would block its sender
   // once it outgrows the socket buffer. One bounded wait per buddy, for the
   // entries whose owner lives; a slow buddy is abandoned, never evicted.
-  for (SlaveIdx b = 0; repl && b < n; ++b) {
+  for (SlaveIdx b = 0; b < n; ++b) {
     wait_on(
-        b,
-        [&] {
-          return std::none_of(
-              unacked.begin(), unacked.end(),
-              [&](const std::optional<SweepEntry>& se) {
-                return se && se->buddy == b && members.Alive(se->owner);
-              });
-        },
-        /*verdict=*/false);
+        b, [&] { return !ledger.OwesSweepAcks(b); }, /*verdict=*/false,
+        opts.recv_timeout_us, opts.recv_max_retries);
   }
 
   // Final sweep: distribute the tuples that were withheld while their
   // partition was in flight (the drain released every in_flight flag).
-  for (Rank s = 1; s <= n; ++s) {
-    if (!members.Active(s - 1)) continue;
-    TupleBatchMsg batch;
-    batch.recs = buffer.DrainFor(pmap.PartitionsOf(s - 1));
-    if (batch.recs.empty()) continue;
-    sum.tuples_sent += batch.recs.size();
-    c_tuples.Add(batch.recs.size());
-    Writer w(TupleBatchMsg::WireSize(batch.recs.size(), tb));
-    Encode(w, batch, tb);
-    Message msg = Make(MsgType::kTupleBatch, std::move(w));
-    msg.trace_id = run_trace_id;
-    msg.parent_span = ob.trace.NextSpanId();
-    msg.send_vt = vt_now;
-    ob.trace.FlowStart("batch_flow", "flow", vt_now, msg.parent_span,
-                       {{"epoch", static_cast<std::int64_t>(sum.epochs)},
-                        {"slave", static_cast<std::int64_t>(s)}});
-    transport.Send(s, std::move(msg));
-    ++batches_sent[s - 1];
-  }
+  for (SlaveIdx m : members.Members()) send_batch(m, /*skip_empty=*/true);
 
   // Tell the collector how many slaves are still alive to report; dead
   // slaves will never deliver their kShutdown, and the collector must not

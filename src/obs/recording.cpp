@@ -237,13 +237,11 @@ RecordingManifest DecodeManifest(Reader& r) {
   }
   const std::uint32_t events = r.GetU32();
   RequireItems(r, events, 13);  // epoch + join + slave
-  m.membership.reserve(events);
-  for (std::uint32_t i = 0; i < events; ++i) {
-    MembershipEvent ev;
+  m.membership.resize(events);
+  for (MembershipEvent& ev : m.membership) {
     ev.epoch = r.GetU64();
     ev.join = r.GetU8() != 0;
     ev.slave = r.GetU32();
-    m.membership.push_back(ev);
   }
   m.wall_run_for = r.GetI64();
   m.wall_recv_timeout_us = r.GetI64();
