@@ -302,7 +302,11 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     if (!survivors.empty()) {
       for (const EvacuationMove& ev :
            PlanEvacuation(pmap, dead, survivors, repl)) {
-        repl ? fail_over(ev.pid, ev.target) : pmap.SetOwner(ev.pid, ev.target);
+        if (repl) {
+          fail_over(ev.pid, ev.target);
+        } else {
+          pmap.SetOwner(ev.pid, ev.target);
+        }
         ++rehosted;
       }
       if (repl) {

@@ -39,24 +39,24 @@
 // epochs the master sends each owner a kCkptCmd; the owner ships each listed
 // group's state to its buddy as one kCheckpoint segment -- a full snapshot
 // after any owner/buddy change, an incremental journal delta otherwise --
-// and the buddy applies it atomically and acks to the master. The master
-// retains every distributed tuple batch per (group, epoch) until the
-// covering checkpoint is acked. Each command entry carries the group's
-// committed epoch (the master's ack watermark for that buddy); the owner
-// copies it into the segment, and the buddy prunes its chain below it to
-// about one window plus two sweeps (core/replica_chain.h). Before kShutdown
-// the master waits, bounded, for the last sweep's acks: a slave stops
-// reading on kShutdown, and a segment still in flight to it would block its
-// sender. On a dead-slave verdict the groups fail over to their buddies
-// (PlanEvacuation prefers them): each buddy rebuilds the group from its
-// acked segments and the master redelivers the retained batches from the
-// first unacked epoch onward as kReplayBatch frames, tagged with their
-// original epochs. Together with the per-(group, epoch) output
-// voiding rule (join/epoch_tag_sink.h) the cluster's output set is exactly
-// the reference join output despite the crash. A group is never migrated to
-// its own buddy (the replica would collide with the live state), and a
-// buddy change resets the group's ack watermark -- the new buddy starts
-// from a full snapshot.
+// and the buddy applies it atomically and acks to the master. The master's
+// ReplicationLedger (core/replication_ledger.h) retains each group's runs
+// per epoch until the covering checkpoint is acked, and makes every buddy
+// change: the new buddy's ack watermark starts at 0 and its first segment
+// is a full snapshot. Each command entry carries the group's committed epoch
+// (the ledger's watermark); the owner copies it into the segment, and the
+// buddy prunes its chain below it to about one window plus two sweeps
+// (core/replica_chain.h). Before kShutdown the master waits, bounded, for
+// the last sweep's acks: a slave stops reading on kShutdown, and a segment
+// still in flight to it would block its sender. On a dead-slave verdict the
+// groups fail over to their buddies (PlanEvacuation prefers them): each
+// buddy rebuilds the group from its acked segments and the master
+// redelivers the retained runs from the first unacked epoch onward as
+// kReplayBatch frames, tagged with their original epochs. Together with the
+// per-(group, epoch) output voiding rule (join/epoch_tag_sink.h) the
+// cluster's output set is exactly the reference join output despite the
+// crash. A group is never migrated to its own buddy (the replica would
+// collide with the live state).
 //
 // Each slave runs the paper's two software components as two threads: the
 // comm module (blocking Recv, immediate load replies, inbox append) and the

@@ -1,8 +1,9 @@
 // In-process transport: one mutex+condvar mailbox per rank. Endpoints are
-// handed to node threads; Send never blocks for long (the mailbox is
-// unbounded; the epoch protocol itself bounds outstanding data), Recv blocks
-// until a message or hub shutdown. The timed variants wait at most the given
-// number of microseconds (0 = non-blocking poll, negative = forever).
+// handed to node threads; Send never blocks (the mailbox is unbounded, so
+// unlike a socket's send buffer nothing here bounds outstanding data: a
+// checkpoint segment can be any size), Recv blocks until a message or hub
+// shutdown. The timed variants wait at most the given number of
+// microseconds (0 = non-blocking poll, negative = forever).
 #pragma once
 
 #include <atomic>

@@ -310,11 +310,11 @@ std::vector<Rec> MakeChaosTrace(std::uint64_t seed, std::size_t count,
   trace.reserve(count);
   const Time step =
       std::max<Time>(1, span_us / static_cast<Time>(count > 0 ? count : 1));
-  Time ts = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    ts += 1 + rng.NextBounded(static_cast<std::uint32_t>(step));
+    // Tuple i lands in its own slot (i * step, (i + 1) * step].
     Rec rec;
-    rec.ts = ts;
+    rec.ts = static_cast<Time>(i) * step + 1 +
+             rng.NextBounded(static_cast<std::uint32_t>(step));
     rec.key = rng.NextBounded(static_cast<std::uint32_t>(key_domain));
     rec.stream = static_cast<StreamId>(i & 1);
     trace.push_back(rec);

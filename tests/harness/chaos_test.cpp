@@ -389,18 +389,18 @@ TEST(ChaosTest, ReplicatedCrashExactAcrossFaultSeeds) {
   }
 }
 
-/// ReplicatedOptions over a longer run: ~30 epochs, five 6-epoch windows
-/// (BaseOptions' trace spans ~15 epochs). The epochs are 20 ms, not 5: the
-/// committed epoch a sweep carries is the ack watermark the master holds
-/// when it issues the sweep, and under a sanitizer 5 ms epochs let the acks
-/// fall a few sweeps behind, which leaves the chains longer.
+/// ReplicatedOptions on 20 ms epochs: 30 epochs, five 6-epoch windows. The
+/// epochs are 20 ms, not 5: the committed epoch a sweep carries is the ack
+/// watermark the master holds when it issues the sweep, and under a
+/// sanitizer 5 ms epochs let the acks fall a few sweeps behind, which
+/// leaves the chains longer.
 ChaosClusterOptions LongReplicatedOptions(std::uint64_t fault_seed) {
   ChaosClusterOptions opts = ReplicatedOptions(fault_seed);
   opts.cfg.join.window = 120 * kUsPerMs;
   opts.cfg.epoch.t_dist = 20 * kUsPerMs;
   opts.cfg.epoch.t_rep = 80 * kUsPerMs;
   opts.trace = MakeChaosTrace(/*seed=*/97, /*count=*/2400,
-                              /*span_us=*/1200 * kUsPerMs, /*key_domain=*/40);
+                              /*span_us=*/600 * kUsPerMs, /*key_domain=*/40);
   return opts;
 }
 
