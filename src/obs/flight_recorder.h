@@ -37,8 +37,8 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 256);
 
-  /// Resize the ring (drops recorded events; call once at node start when
-  /// applying ObsConfig::flight_ring_events).
+  /// Resize the ring (drops recorded events; the node runners call it once
+  /// at node start).
   void SetCapacity(std::size_t capacity);
   std::size_t Capacity() const;
 
