@@ -25,9 +25,9 @@ std::vector<Rec> MasterBuffer::DrainFor(std::span<const PartitionId> pids) {
   return out;
 }
 
-std::vector<Rec> MasterBuffer::DrainPartition(PartitionId pid) {
-  PartitionId pids[1] = {pid};
-  return DrainFor(pids);
+void MasterBuffer::ClearPartition(PartitionId pid) {
+  total_ -= mini_[pid].size();
+  mini_[pid].clear();
 }
 
 }  // namespace sjoin

@@ -26,9 +26,11 @@ class MasterBuffer {
   /// (per-partition arrival order preserved; partitions concatenated).
   std::vector<Rec> DrainFor(std::span<const PartitionId> pids);
 
-  /// Tuples still buffered for one partition (migration: the pending tuples
-  /// that travel to the new owner after the state move).
-  std::vector<Rec> DrainPartition(PartitionId pid);
+  /// One partition's buffered tuples in arrival order, valid until the next
+  /// Add or ClearPartition; a sender encodes them from here.
+  std::span<const Rec> Pending(PartitionId pid) const { return mini_[pid]; }
+  /// Drops one partition's buffered tuples, keeping its capacity.
+  void ClearPartition(PartitionId pid);
 
   std::size_t TotalTuples() const { return total_; }
   std::size_t TotalBytes() const { return total_ * tuple_bytes_; }

@@ -42,11 +42,17 @@ std::string HexDigest(std::uint64_t v) {
   return buf;
 }
 
-std::string BuildStateJson(std::uint32_t rank, std::uint64_t epochs_done,
+std::string BuildStateJson(std::uint32_t rank,
+                           std::optional<std::uint64_t> epochs_done,
                            std::span<const JoinModule::GroupDigest> groups) {
   std::ostringstream os;
-  os << "{\"schema\":1,\"rank\":" << rank
-     << ",\"epochs_done\":" << epochs_done << ",\"groups\":[";
+  os << "{\"schema\":1,\"rank\":" << rank << ",\"epochs_done\":";
+  if (epochs_done) {
+    os << *epochs_done;
+  } else {
+    os << "null";
+  }
+  os << ",\"groups\":[";
   bool first = true;
   for (const JoinModule::GroupDigest& g : groups) {
     if (!first) os << ',';
@@ -361,7 +367,7 @@ ReplayResult ReplayNode(const obs::Recording& recording,
     wall.input_trace = &m.input_trace;
     wall.membership = m.membership;
     wall.master_obs = &ob;
-    (void)RunMasterNode(rt, cfg, wall);
+    res.epochs_done = RunMasterNode(rt, cfg, wall).epochs;
   } else if (m.rank >= 1 && m.rank <= cfg.num_slaves) {
     EpochTagSink tag(cfg.join.num_partitions);
     wall.slave_obs.assign(cfg.num_slaves, nullptr);

@@ -122,7 +122,9 @@ struct ReplayResult {
   std::string error;
 
   std::uint32_t rank = 0;
-  std::uint64_t epochs_done = 0;        ///< from the inspection seam
+  /// Distribution epochs the node completed: a slave's from the inspection
+  /// seam, the master's from its summary; none for a collector.
+  std::optional<std::uint64_t> epochs_done;
   std::uint64_t frames_delivered = 0;   ///< stimulus records consumed
   bool hit_breakpoint = false;
   bool control_divergence = false;

@@ -757,23 +757,32 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   };
 
   // Ships a member the buffered runs of its settled groups as one
-  // kTupleBatch, retaining each group's run until a checkpoint covering
-  // this epoch is acknowledged -- it is the failover replay. The final
-  // sweep skips an empty batch (no load report answers it).
+  // kTupleBatch, encoded straight from the buffer, retaining each group's
+  // run until a checkpoint covering this epoch is acknowledged -- it is the
+  // failover replay. The final sweep skips an empty batch (no load report
+  // answers it).
   auto send_batch = [&](SlaveIdx m, bool skip_empty) {
-    TupleBatchMsg batch;
-    for (PartitionId pid : settled(m)) {
-      std::vector<Rec> run = buffer.DrainPartition(pid);
-      if (run.empty()) continue;
-      batch.recs.insert(batch.recs.end(), run.begin(), run.end());
-      if (repl) ledger.Retain(pid, sum.epochs, std::move(run));
+    const std::vector<PartitionId> pids = settled(m);
+    std::vector<std::span<const Rec>> runs;
+    runs.reserve(pids.size());
+    std::size_t tuples = 0;
+    for (PartitionId pid : pids) {
+      runs.push_back(buffer.Pending(pid));
+      tuples += runs.back().size();
     }
-    if (skip_empty && batch.recs.empty()) return;
-    count(sum.tuples_sent, c_tuples, batch.recs.size());
-    Writer w(TupleBatchMsg::WireSize(batch.recs.size(), tb));
+    if (skip_empty && tuples == 0) return;
+    count(sum.tuples_sent, c_tuples, tuples);
+    Writer w(TupleBatchMsg::WireSize(tuples, tb));
     {
       obs::ScopedTimer wall_enc(&wall_encode);
-      Encode(w, batch, tb);
+      EncodeTupleBatch(w, runs, tb);
+    }
+    for (std::size_t i = 0; i < pids.size(); ++i) {
+      if (repl && !runs[i].empty()) {
+        ledger.Retain(pids[i], sum.epochs,
+                      std::vector<Rec>(runs[i].begin(), runs[i].end()));
+      }
+      buffer.ClearPartition(pids[i]);
     }
     // Causal trace context rides the frame header: the per-send span id
     // doubles as the flow id, so the slave's receive-side FlowFinish binds

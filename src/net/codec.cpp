@@ -5,8 +5,18 @@
 namespace sjoin {
 
 void Encode(Writer& w, const TupleBatchMsg& m, std::size_t tuple_bytes) {
-  w.PutU64(m.recs.size());
-  for (const Rec& rec : m.recs) EncodeRec(w, rec, tuple_bytes);
+  const std::span<const Rec> run = m.recs;
+  EncodeTupleBatch(w, {&run, 1}, tuple_bytes);
+}
+
+void EncodeTupleBatch(Writer& w, std::span<const std::span<const Rec>> runs,
+                      std::size_t tuple_bytes) {
+  std::uint64_t n = 0;
+  for (std::span<const Rec> run : runs) n += run.size();
+  w.PutU64(n);
+  for (std::span<const Rec> run : runs) {
+    for (const Rec& rec : run) EncodeRec(w, rec, tuple_bytes);
+  }
 }
 
 TupleBatchMsg DecodeTupleBatch(Reader& r, std::size_t tuple_bytes) {

@@ -27,6 +27,10 @@ struct TupleBatchMsg {
   }
 };
 void Encode(Writer& w, const TupleBatchMsg& m, std::size_t tuple_bytes);
+/// Encodes the TupleBatchMsg whose `recs` are `runs` concatenated, without
+/// gathering them first: the same bytes as Encode.
+void EncodeTupleBatch(Writer& w, std::span<const std::span<const Rec>> runs,
+                      std::size_t tuple_bytes);
 TupleBatchMsg DecodeTupleBatch(Reader& r, std::size_t tuple_bytes);
 
 /// The paper's second stream-identification option: "putting special

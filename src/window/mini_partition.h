@@ -25,11 +25,16 @@
 // a mask. A small power-of-two ring of block pointers, indexed by block
 // number, maps a seq to its block; the live records are the seqs from
 // base_seq (the oldest live block's first) to the head block's newest.
-// A linear-probing table of 16-byte slots {key, newest sealed seq + 1}
-// (0 marks an empty slot) starts each key's chain, and a probe walks it
-// from the newest record towards older ones. A record's link gets its
-// `prev` when the record is sealed, so chains only hold sealed records;
-// sealing follows arrival order, so seq order is timestamp order.
+// A linear-probing table of 8-byte slot words starts each key's chain, and
+// a probe walks it from the newest record towards older ones. A word holds
+// a 16-bit tag, the top bits of the key's hash (the home slot takes the low
+// ones), over the key's newest sealed seq + 1 in 48 bits (0 marks an empty
+// slot); AppendBlock refuses a seq that would not fit. The key itself is
+// not in the table: a tag match on a live slot is confirmed against the key
+// of the slot's newest record, read from its block, so each live key owns
+// exactly one slot and one chain. A record's link gets its `prev` when the
+// record is sealed, so chains only hold sealed records; sealing follows
+// arrival order, so seq order is timestamp order.
 //
 // Probes walk their chains interleaved. On a busy slave the index is far
 // larger than a core's L2 cache, so nearly every link a probe reads misses
@@ -41,31 +46,36 @@
 // advances each chain by one link and prefetches its next link, whose
 // address it looks up in the ring then; a finished probe is replaced at once
 // by the next one, whose home slot was prefetched kChainsInFlight probes
-// ahead. A probe holds at most kInterleavedMatches matches in the
-// interleaved walk: a longer chain parks there and walks its rest alone when
-// its probe's turn to emit comes, reading the ring only when it leaves a
-// block, so a batch buffers a bounded slice per probe plus one whole chain,
-// not every probe's full match list (a hot key's chain can span a whole
-// window). Probes emit in batch order with their matches ascending, so
-// the result is the same as one walk at a time.
-// Seal is not interleaved: per record it reads one slot and writes the
-// `prev` of one link in the head block, and successive records' slot reads
-// do not depend on each other, so the core already overlaps their misses (a
-// look-ahead slot prefetch there measured within noise).
+// ahead. A chain's first round confirms its key, whose line was prefetched
+// with the first link's; on a tag collision the probe resumes its slot
+// search past that slot. A probe holds at most kInterleavedMatches matches
+// in the interleaved walk: a longer chain parks there and walks its rest
+// alone when its probe's turn to emit comes, reading the ring only when it
+// leaves a block, so a batch buffers a bounded slice per probe plus one
+// whole chain, not every probe's full match list (a hot key's chain can
+// span a whole window). Probes emit in batch order with their matches
+// ascending, so the result is the same as one walk at a time.
+// Seal is not interleaved: per record it reads one slot and, for a key
+// already live, its newest record's key, and writes the `prev` of one link
+// in the head block. Successive records do not depend on each other, so it
+// prefetches every fresh record's home slot, then each live slot's newest
+// key, and links the records after that, so their misses overlap.
 //
 // Expiry is lazy and block-granular, as the paper's window is: whole blocks
 // leave in arrival order, so ExpireBlocks frees them, advances base_seq past
 // them and touches no index entry. A chain ends at the first seq below
 // base_seq (that seq's ring entry may already hold a newer block), and a
-// slot whose newest seq is below base_seq is a dead key: the same key's
-// next seal reuses it, and a rebuild at 3/4 table load keeps only live keys.
-// Once the live blocks fall below 1/8 of the ring, or the live sealed
-// records below 1/8 of the table, that array shrinks, so a burst of keys
-// does not pin its memory afterwards.
+// slot whose newest seq is below base_seq is a dead key's: its block may be
+// gone, so it matches no key, and a new key takes the first dead slot its
+// search passed before the empty slot that ends it. A rebuild at 3/4 table
+// load (live and dead slots) keeps only live keys. Once the live blocks fall
+// below 1/8 of the ring, or the live sealed records below 1/8 of the table,
+// that array shrinks, so a burst of keys does not pin its memory afterwards.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <span>
@@ -204,10 +214,16 @@ class MiniPartition {
   Time MaxSeenTs() const { return max_seen_ts_; }
 
   /// Distinct keys with at least one live sealed record (a table scan; for
-  /// tests). Dead keys may still occupy slots until the next rebuild.
+  /// tests). Dead keys may still occupy slots until a new key or the next
+  /// rebuild takes them.
   std::size_t IndexKeyCount() const;
   /// Slots in the key table (0 before the first seal).
   std::size_t IndexBucketCount() const { return slots_.size(); }
+  /// Key table rebuilds so far (for tests).
+  std::size_t RebuildCount() const { return rebuilds_; }
+  /// The key table's hash of `key`: its low bits pick the home slot, its top
+  /// 16 bits are the slot's tag (public so tests can make keys collide).
+  static std::uint64_t SlotHash(std::uint64_t key);
   /// Entries in the block-pointer ring (0 before the first insert).
   std::size_t BlockRingSize() const { return ring_.size(); }
 
@@ -234,11 +250,14 @@ class MiniPartition {
   void InstallSealed(const Rec& rec);
 
  private:
-  /// Key table slot. `top` is the key's newest sealed seq + 1; 0 = empty.
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint64_t top = 0;
-  };
+  /// A key table slot word: the tag in the top 16 bits, the key's newest
+  /// sealed seq + 1 in the rest (0 = empty).
+  static constexpr unsigned kTopBits = 48;
+  static constexpr std::uint64_t kTopMask =
+      (std::uint64_t{1} << kTopBits) - 1;
+  /// No slot (a search that found none).
+  static constexpr std::size_t kNoSlot =
+      std::numeric_limits<std::size_t>::max();
   /// Per-record chain link. `prev` is the seq + 1 of the key's previous
   /// sealed record (0 = none), set when the record is sealed; it is only
   /// followed while above base_seq_.
@@ -260,6 +279,16 @@ class MiniPartition {
         ring_[block & (ring_.size() - 1)].get() +
         block_capacity_ * sizeof(Link)));
   }
+  /// Live record `seq`'s link and key.
+  Link* LinkAt(std::uint64_t seq) const {
+    return LinksOf(seq >> seq_shift_) + (seq & SeqSlotMask());
+  }
+  const std::uint64_t* KeyAt(std::uint64_t seq) const {
+    return KeysOf(seq >> seq_shift_) + (seq & SeqSlotMask());
+  }
+  std::uint64_t SeqSlotMask() const {
+    return (std::uint64_t{1} << seq_shift_) - 1;
+  }
 
   /// Appends an empty head block, growing the ring when it is full.
   void AppendBlock();
@@ -268,12 +297,13 @@ class MiniPartition {
   /// Re-inserts the live keys into a table sized for `live_keys + extra`.
   void RebuildTable(std::size_t extra);
   /// Links the record `key` at `seq` into its key's chain: sets its
-  /// `link.prev` and makes it the key's newest sealed record.
+  /// `link.prev` and makes it the key's newest sealed record. The table must
+  /// exist.
   void IndexRecord(std::uint64_t key, std::uint64_t seq, Link& link);
-  /// Where the key's linear probe of the table starts.
-  std::size_t HomeSlot(std::uint64_t key) const;
-  /// The key's table slot, or the empty slot where it would go.
-  std::size_t FindSlot(std::uint64_t key) const;
+  /// The first live slot from `i` on whose word carries `tag` (a SlotHash
+  /// with its low 48 bits cleared), searching up to the first empty slot;
+  /// kNoSlot if there is none.
+  std::size_t NextTagged(std::uint64_t tag, std::size_t i) const;
   /// The interleaved walk: for each probe i, collects its first matches,
   /// newest first, at first[i * kInterleavedMatches] and records where its
   /// walk stopped in stops[i].
@@ -295,8 +325,10 @@ class MiniPartition {
   std::uint64_t next_block_ = 0;  // number of the next block to append
   std::size_t head_size_ = 0;     // records in the head block
   std::size_t fresh_ = 0;         // of those, not yet sealed (the newest)
-  std::vector<Slot> slots_;  // power of two, or empty before the first seal
+  std::vector<std::uint64_t> slots_;  // slot words: power of two, or empty
+                                      // before the first seal
   std::size_t used_slots_ = 0;  // non-empty slots, live and dead keys
+  std::size_t rebuilds_ = 0;
   std::uint64_t base_seq_ = 0;  // first seq of the oldest live block
   std::size_t total_count_ = 0;
   Time max_seen_ts_ = 0;

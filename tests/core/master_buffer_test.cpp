@@ -47,18 +47,26 @@ TEST(MasterBufferTest, PeakTracksHighWater) {
   EXPECT_EQ(buf.PeakBytes(), 0u);
 }
 
-TEST(MasterBufferTest, DrainPartitionForMigration) {
+TEST(MasterBufferTest, PendingRunClearsPerPartition) {
   MasterBuffer buf(4, 64);
   buf.Add(R(1, 1), 2);
-  buf.Add(R(2, 2), 2);
-  auto pending = buf.DrainPartition(2);
-  EXPECT_EQ(pending.size(), 2u);
+  buf.Add(R(2, 2), 1);
+  buf.Add(R(3, 3), 2);
+  const std::span<const Rec> run = buf.Pending(2);
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run[0].ts, 1);
+  EXPECT_EQ(run[1].ts, 3);
+  EXPECT_TRUE(buf.Pending(0).empty());
+  buf.ClearPartition(2);
+  EXPECT_TRUE(buf.Pending(2).empty());
+  EXPECT_EQ(buf.TotalTuples(), 1u);  // partition 1's tuple stays
+  EXPECT_EQ(buf.Pending(1).size(), 1u);
+  EXPECT_EQ(buf.PeakBytes(), 3u * 64u);
+  buf.ClearPartition(1);
   EXPECT_EQ(buf.TotalTuples(), 0u);
-}
-
-TEST(MasterBufferTest, DrainEmptyPartitionYieldsNothing) {
-  MasterBuffer buf(4, 64);
-  EXPECT_TRUE(buf.DrainPartition(3).empty());
+  buf.ClearPartition(3);  // nothing buffered: a no-op
+  EXPECT_TRUE(buf.Pending(3).empty());
+  EXPECT_EQ(buf.TotalTuples(), 0u);
 }
 
 }  // namespace

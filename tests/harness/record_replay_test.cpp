@@ -179,6 +179,17 @@ TEST(RecordReplayTest, RecordedMasterWithMembershipScheduleReplays) {
   EXPECT_EQ(rep.send_mismatches, 0u);
   EXPECT_EQ(rep.epoch_csv, ReadFileRaw(dir.path + "/epochs_rank0.csv"));
   EXPECT_EQ(rep.trace_json, ReadFileRaw(dir.path + "/trace_rank0.json"));
+  // The replayed master counts the live master's epochs; a collector
+  // replay counts none.
+  EXPECT_GT(live.master.epochs, 10u);
+  EXPECT_EQ(rep.epochs_done, live.master.epochs);
+  obs::LoadRecordingResult collector = obs::LoadRecording(
+      obs::RecordingBundlePath(dir.path, opts.cfg.num_slaves + 1));
+  ASSERT_TRUE(collector.ok) << collector.error;
+  const ReplayResult col = ReplayNode(collector.recording, {});
+  ASSERT_TRUE(col.ok) << col.error;
+  EXPECT_FALSE(col.epochs_done.has_value());
+  EXPECT_NE(col.state_json.find("\"epochs_done\":null"), std::string::npos);
 }
 
 TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {
@@ -193,7 +204,7 @@ TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {
 
   ReplayResult full = ReplayNode(loaded.recording, {});
   ASSERT_TRUE(full.ok) << full.error;
-  ASSERT_GT(full.epochs_done, 9u);
+  ASSERT_GT(full.epochs_done.value_or(0), 9u);
 
   ReplayOptions bo;
   bo.until_epoch = 7;

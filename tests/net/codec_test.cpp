@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace sjoin {
@@ -28,6 +31,31 @@ TEST(NetCodecTest, EmptyTupleBatch) {
   Encode(w, m, 64);
   Reader r(w.Bytes());
   EXPECT_TRUE(DecodeTupleBatch(r, 64).recs.empty());
+}
+
+TEST(NetCodecTest, TupleBatchFromRunsEncodesTheirConcatenation) {
+  // Runs of 3, 0 and 2 tuples encode to the bytes of one batch holding
+  // all five in run order.
+  TupleBatchMsg m;
+  for (Time t = 1; t <= 5; ++t) {
+    m.recs.push_back(Rec{t * 10, static_cast<std::uint64_t>(t), 1});
+  }
+  const std::span<const Rec> all = m.recs;
+  const std::span<const Rec> runs[] = {all.first(3), all.subspan(3, 0),
+                                       all.subspan(3)};
+  const auto bytes = [](const Writer& w) {
+    return std::vector<std::uint8_t>(w.Bytes().begin(), w.Bytes().end());
+  };
+  Writer one;
+  Encode(one, m, 64);
+  Writer from_runs;
+  EncodeTupleBatch(from_runs, runs, 64);
+  EXPECT_EQ(bytes(from_runs), bytes(one));
+  Writer none;
+  EncodeTupleBatch(none, {}, 64);
+  Writer empty;
+  Encode(empty, TupleBatchMsg{}, 64);
+  EXPECT_EQ(bytes(none), bytes(empty));
 }
 
 TEST(NetCodecTest, TupleBatchWireSizeMatchesPaperTuples) {

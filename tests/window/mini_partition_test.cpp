@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,6 +18,26 @@ namespace {
 constexpr sjoin::Time kFarFuture = 9'000'000'000'000;
 
 Rec R(Time ts, std::uint64_t key, StreamId s = 0) { return Rec{ts, key, s}; }
+
+/// Up to `pairs` pairs of distinct keys whose SlotHash agrees in its tag
+/// (top 16 bits) and its low `low_bits` bits, so that each pair shares its
+/// home slot in every table of at most 2^low_bits slots.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> TagCollidingPairs(
+    unsigned low_bits, std::size_t pairs) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  std::unordered_map<std::uint64_t, std::uint64_t> seen;
+  const std::uint64_t low_mask = (std::uint64_t{1} << low_bits) - 1;
+  for (std::uint64_t key = 1; out.size() < pairs; ++key) {
+    const std::uint64_t h = MiniPartition::SlotHash(key);
+    const auto [it, fresh] =
+        seen.try_emplace(((h >> 48) << low_bits) | (h & low_mask), key);
+    if (!fresh) {
+      out.emplace_back(it->second, key);
+      seen.erase(it);
+    }
+  }
+  return out;
+}
 
 /// Timestamps of every record the partition holds, in temporal order.
 std::vector<Time> Timestamps(const MiniPartition& p) {
@@ -265,9 +287,10 @@ TEST(MiniPartitionTest, ReappearingKeyStopsAtExpiredLinks) {
   // Key 7's only records (block 0, seqs 0-3) expire, and a newer block
   // takes block 0's entry in the ring of 4 block pointers. Keys 100 and 101
   // fill the other blocks, so the table never rebuilds and key 7's dead
-  // slot keeps its stale `top` (seq 3). When key 7 comes back, its chain
-  // continues from there; the walk must stop at base_seq instead of reading
-  // seq 3's slot out of the newer block, which holds ts 20.
+  // slot keeps its stale `top` (seq 3). Key 7 comes back as a new key: it
+  // does not inherit that seq, so its chain starts at ts 17, and the walk
+  // must still stop at base_seq rather than read seq 3's slot out of the
+  // newer block, which holds ts 20.
   MiniPartition p(4, 0);
   std::vector<Time> scratch;
   const auto other = [](Time t) {
@@ -350,8 +373,8 @@ TEST(MiniPartitionTest, BlocksHoldTwentyFourBytesPerRecord) {
   // A steady sliding window of 20 000 records over 5 000 keys in 64-record
   // blocks: a record's link and key are its only storage, so the blocks and
   // the block ring take at most 26 bytes per live record (24 of them the
-  // record's), on top of the key table's 16-byte slots.
-  constexpr std::size_t kSlotBytes = 16;
+  // record's), on top of the key table's 8-byte slots.
+  constexpr std::size_t kSlotBytes = 8;
   MiniPartition p(64, 0);
   std::size_t checked = 0;
   for (Time t = 1; t <= 100'000; ++t) {
@@ -367,6 +390,91 @@ TEST(MiniPartitionTest, BlocksHoldTwentyFourBytesPerRecord) {
     }
   }
   EXPECT_GT(checked, 50u);
+}
+
+TEST(MiniPartitionTest, KeyTableTakesEightBytesASlot) {
+  // One record: a 4-record block (24 bytes each), the smallest block ring
+  // (4 pointers) and the smallest key table (16 slot words).
+  MiniPartition p(4, 0);
+  p.Insert(R(1, 1));
+  p.Seal();
+  ASSERT_EQ(p.BlockRingSize(), 4u);
+  ASSERT_EQ(p.IndexBucketCount(), 16u);
+  EXPECT_EQ(p.StorageBytes(), 4 * 24 + 4 * sizeof(void*) + 16 * 8);
+}
+
+TEST(MiniPartitionTest, TagCollidingKeysKeepTheirOwnChains) {
+  // Keys a and b share their home slot and their tag in the 16-slot table,
+  // so only the key read from a slot's newest record tells their slots
+  // apart: a seal that trusted the tag would link b's records into a's
+  // chain, and a probe of b would walk a's chain, which comes first.
+  const auto [a, b] = TagCollidingPairs(4, 1).front();
+  MiniPartition p(4, 0);
+  std::vector<Time> scratch;
+  for (Time t = 1; t <= 4; ++t) p.Insert(R(t, t % 2 == 1 ? a : b));
+  p.Seal();  // block 0: a, b, a, b
+  ASSERT_EQ(p.IndexBucketCount(), 16u);
+  EXPECT_EQ(p.IndexKeyCount(), 2u);
+  const auto probe = [&](std::uint64_t key) {
+    const auto m = p.ProbeSealed(key, 0, kFarFuture, scratch);
+    return std::vector<Time>(m.begin(), m.end());
+  };
+  EXPECT_EQ(probe(a), (std::vector<Time>{1, 3}));
+  EXPECT_EQ(probe(b), (std::vector<Time>{2, 4}));
+  const std::vector<MiniPartition::SealedProbe> batch = {
+      {b, 0, kFarFuture}, {a, 0, kFarFuture}, {b, 3, kFarFuture}};
+  MiniPartition::BatchScratch batch_scratch;
+  EXPECT_EQ(ProbeBatch(p, batch, batch_scratch),
+            (std::vector<std::vector<Time>>{{2, 4}, {1, 3}, {4}}));
+
+  // Key b lives on in block 1 while block 0 expires: a's slot, first on
+  // their path, is dead, and a probe of a must not take b's slot, whose
+  // tag is a's. A new record of a takes its dead slot back; b's stays.
+  p.Insert(R(5, b));
+  for (std::uint64_t k = 1006; k <= 1008; ++k) {
+    p.Insert(R(static_cast<Time>(k - 1000), k));
+  }
+  p.Seal();
+  ASSERT_EQ(p.ExpireBlocks(5), 4u);
+  EXPECT_EQ(p.IndexKeyCount(), 4u);  // b and 1006-1008
+  EXPECT_TRUE(probe(a).empty());
+  EXPECT_EQ(probe(b), (std::vector<Time>{5}));
+  p.Insert(R(9, a));
+  p.Seal();
+  EXPECT_EQ(p.IndexKeyCount(), 5u);
+  EXPECT_EQ(probe(a), (std::vector<Time>{9}));
+  EXPECT_EQ(probe(b), (std::vector<Time>{5}));
+}
+
+TEST(MiniPartitionTest, DyingDistinctKeysKeepTheTableSize) {
+  // Every key appears once and dies a window later, as most b-model keys
+  // do: about 2 000 live keys in a table of 4 096 slots. A new key takes
+  // the first dead slot on its search, so the table keeps its size, and it
+  // rebuilds (at 3/4 of its slots live or dead) only when new keys have
+  // used up the empty slots their homes hit: less than once per 1 280 new
+  // keys here, where a table that never reused a dead slot would rebuild
+  // every ~1 070 (its 3/4 load less the live keys). Dead slots become empty
+  // only in a rebuild, so rebuilds do not stop altogether.
+  MiniPartition p(64, 0);
+  constexpr Time kWarmUp = 40'000;
+  constexpr Time kEnd = 200'000;
+  std::size_t size_after_warm_up = 0;
+  std::size_t rebuilds_after_warm_up = 0;
+  for (Time t = 1; t <= kEnd; ++t) {
+    p.Insert(R(t, static_cast<std::uint64_t>(t) * 2'654'435'761ULL));
+    if (p.HeadFull()) p.Seal();
+    (void)p.ExpireBlocks(t - 2'000);
+    if (t == kWarmUp) {
+      size_after_warm_up = p.IndexBucketCount();
+      rebuilds_after_warm_up = p.RebuildCount();
+    } else if (t > kWarmUp && t % 1'000 == 0) {
+      ASSERT_EQ(p.IndexBucketCount(), size_after_warm_up) << "t=" << t;
+    }
+  }
+  EXPECT_EQ(size_after_warm_up, 4096u);
+  const std::size_t rebuilds = p.RebuildCount() - rebuilds_after_warm_up;
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_LT(rebuilds * 1'280, static_cast<std::size_t>(kEnd - kWarmUp));
 }
 
 TEST(MiniPartitionTest, BatchChainStopsAtBaseSeqWhenItsLinkIsReused) {
@@ -578,6 +686,9 @@ void CheckAgainstModel(const MiniPartition& p,
 
 TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
   const int iters = FuzzIters(20);
+  // Pairs that share their tag and their home slot in tables of up to
+  // 1 024 slots, which the bursts below outgrow.
+  const auto colliding = TagCollidingPairs(10, 6);
   for (int it = 1; it <= iters; ++it) {
     SCOPED_TRACE("seed=" + std::to_string(it));
     Pcg32 rng(static_cast<std::uint64_t>(it), 29);
@@ -591,9 +702,15 @@ TEST(MiniPartitionFuzzTest, IndexMatchesBruteForceScan) {
     Time ts = 0;
     std::uint64_t next_cold = 1000;
     // Hot keys 0-3 repeat constantly; cold keys come from a wide range
-    // and mostly appear once or twice.
+    // and mostly appear once or twice; and keys of tag-colliding pairs.
     auto pick_key = [&]() -> std::uint64_t {
-      if (rng.NextBounded(10) < 6) return rng.NextBounded(4);
+      const std::uint32_t r = rng.NextBounded(10);
+      if (r < 5) return rng.NextBounded(4);
+      if (r < 7) {
+        const auto& pair = colliding[rng.NextBounded(
+            static_cast<std::uint32_t>(colliding.size()))];
+        return rng.NextBounded(2) == 0 ? pair.first : pair.second;
+      }
       return 1000 + rng.NextBounded(400);
     };
     auto advance = [&] {

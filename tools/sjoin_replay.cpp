@@ -245,10 +245,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sjoin_replay: %s\n", res.error.c_str());
     return 2;
   }
+  // A collector counts no epochs, so its line has no epoch field.
+  const std::string epochs =
+      res.epochs_done ? "epochs=" + std::to_string(*res.epochs_done) + " "
+                      : std::string();
   std::printf(
-      "sjoin_replay: rank %u replayed: epochs=%llu frames=%llu outputs=%zu "
+      "sjoin_replay: rank %u replayed: %sframes=%llu outputs=%zu "
       "output_hash=%016llx%s\n",
-      res.rank, static_cast<unsigned long long>(res.epochs_done),
+      res.rank, epochs.c_str(),
       static_cast<unsigned long long>(res.frames_delivered),
       res.outputs.size(), static_cast<unsigned long long>(res.output_hash),
       res.hit_breakpoint ? " [breakpoint]" : "");
