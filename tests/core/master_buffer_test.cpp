@@ -47,7 +47,9 @@ TEST(MasterBufferTest, PeakTracksHighWater) {
   EXPECT_EQ(buf.PeakBytes(), 0u);
 }
 
-TEST(MasterBufferTest, PendingRunClearsPerPartition) {
+// A group is drained for sending or migration by encoding its Pending run
+// and then clearing it.
+TEST(MasterBufferTest, DrainPartitionForMigration) {
   MasterBuffer buf(4, 64);
   buf.Add(R(1, 1), 2);
   buf.Add(R(2, 2), 1);
@@ -56,7 +58,6 @@ TEST(MasterBufferTest, PendingRunClearsPerPartition) {
   ASSERT_EQ(run.size(), 2u);
   EXPECT_EQ(run[0].ts, 1);
   EXPECT_EQ(run[1].ts, 3);
-  EXPECT_TRUE(buf.Pending(0).empty());
   buf.ClearPartition(2);
   EXPECT_TRUE(buf.Pending(2).empty());
   EXPECT_EQ(buf.TotalTuples(), 1u);  // partition 1's tuple stays
@@ -64,9 +65,17 @@ TEST(MasterBufferTest, PendingRunClearsPerPartition) {
   EXPECT_EQ(buf.PeakBytes(), 3u * 64u);
   buf.ClearPartition(1);
   EXPECT_EQ(buf.TotalTuples(), 0u);
+}
+
+TEST(MasterBufferTest, DrainEmptyPartitionYieldsNothing) {
+  MasterBuffer buf(4, 64);
+  buf.Add(R(1, 1), 2);
+  EXPECT_TRUE(buf.Pending(0).empty());
+  EXPECT_TRUE(buf.Pending(3).empty());
   buf.ClearPartition(3);  // nothing buffered: a no-op
   EXPECT_TRUE(buf.Pending(3).empty());
-  EXPECT_EQ(buf.TotalTuples(), 0u);
+  EXPECT_EQ(buf.TotalTuples(), 1u);
+  EXPECT_EQ(buf.Pending(2).size(), 1u);
 }
 
 }  // namespace
