@@ -11,9 +11,6 @@ int main() {
   SystemConfig base = bench::ScaledConfig();
   base.num_slaves = 3;
   base.epoch_tuner.enabled = true;
-  base.epoch_tuner.min_epoch = 250 * kUsPerMs;
-  base.epoch_tuner.max_epoch = 8 * kUsPerSec;
-  base.epoch_tuner.shrink_step = kUsPerSec;  // visible inside one bench run
   bench::Reporter rep("ext_adaptive_epoch", "Ext tuner",
                       "adaptive distribution epoch (3 slaves)",
                       "from any starting t_d the controller converges "

@@ -1,7 +1,8 @@
-// Clock abstraction: every node in the system reads time exclusively through
-// a Clock so that identical node code runs either under the discrete-event
-// simulation driver (VirtualClock, advanced explicitly by the driver) or as a
-// real OS process (WallClock, backed by std::chrono::steady_clock).
+// Clock abstraction. The wall-clock node loops (core/runner) read a
+// WallClock, backed by std::chrono::steady_clock. The discrete-event
+// SimDriver reads no Clock: it advances its own Time values between
+// protocol events. VirtualClock is the seam where a deterministic scheduler
+// is to drive the real node code on virtual time; nothing reads it yet.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,8 @@ class Clock {
   virtual Time Now() const = 0;
 };
 
-/// A manually-advanced clock used by the simulation driver. The driver owns
-/// the clock and moves it forward between protocol events; node code only
-/// ever reads it.
+/// A manually-advanced clock: its owner moves it forward between protocol
+/// events, and the code it times only reads it.
 class VirtualClock final : public Clock {
  public:
   explicit VirtualClock(Time start = 0) : now_(start) {}

@@ -28,9 +28,6 @@ std::string Summarize(const SystemConfig& cfg) {
   if (cfg.slave.workers != 1) {
     os << " workers=" << cfg.slave.workers;
   }
-  if (!cfg.obs.record_dir.empty()) {
-    os << " record=on";
-  }
   if (cfg.cluster.elastic.enabled) {
     os << " elastic=on drain_per_epoch="
        << cfg.cluster.elastic.drain_groups_per_epoch

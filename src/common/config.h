@@ -31,11 +31,6 @@ struct JoinConfig {
   /// Enables fine-grained partition tuning via extendible hashing (paper
   /// section IV-D). Figures 7-10 compare on/off.
   bool fine_tuning = true;
-
-  /// Safety cap on the extendible-hashing global depth, preventing unbounded
-  /// directory doubling when a single hot key dominates a bucket (such a
-  /// bucket cannot be split by hashing at any depth).
-  std::uint32_t max_global_depth = 10;
 };
 
 /// Load-balancing thresholds (paper Table I and section IV-C).
@@ -60,27 +55,9 @@ struct BalanceConfig {
 };
 
 /// Extension (paper future work): adaptive distribution-epoch controller.
-/// See core/epoch_tuner.h for the AIMD rule these parameters drive.
+/// See core/epoch_tuner.h for the AIMD rule and its constants.
 struct EpochTunerConfig {
   bool enabled = false;
-
-  Duration min_epoch = 250 * kUsPerMs;
-  Duration max_epoch = 8 * kUsPerSec;
-
-  /// Comm fraction above which t_d grows (multiplicatively).
-  double comm_high = 0.15;
-
-  /// Comm fraction below which t_d may shrink (additively), provided the
-  /// slaves are keeping up.
-  double comm_low = 0.05;
-
-  /// Average buffer occupancy above which shrinking is suppressed (smaller
-  /// epochs add overhead precisely when the system can least afford it).
-  double occupancy_guard = 0.1;
-
-  /// Multiplicative-increase factor and additive-decrease step.
-  double grow_factor = 1.5;
-  Duration shrink_step = 250 * kUsPerMs;
 };
 
 /// Epoch protocol parameters (paper Table I).
@@ -145,7 +122,6 @@ struct ElasticConfig {
   std::uint32_t surge_epochs = 3; ///< consecutive surge epochs => scale-out
   double idle_occupancy = 0.01;   ///< occupancy below this counts as idle
   std::uint32_t idle_epochs = 8;  ///< consecutive idle epochs => scale-in
-  std::uint32_t min_members = 1;  ///< scale-in floor
   std::uint32_t cooldown_epochs = 4;  ///< quiet epochs after any decision
 
   /// Straggler veto: when > 0, a scale-in proposal is suppressed while the
@@ -227,24 +203,18 @@ struct WorkloadConfig {
   std::uint64_t seed = 0x5EED5EED;
 };
 
-/// One struct to rule them all.
-/// Observability knobs (src/obs): tuple-delay sampling and recording.
-/// Everything here is deterministic -- sampling is a pure function of tuple
-/// contents and the workload seed, never of wall time.
+/// Observability knobs (src/obs): tuple-delay sampling. Deterministic --
+/// sampling is a pure function of tuple contents and the workload seed,
+/// never of wall time.
 struct ObsConfig {
   /// Deterministic end-to-end tuple-delay sampling: a tuple is sampled when
   /// Mix64(key ^ Mix64(ts) ^ seed) % rate == 0, so master and slaves agree
   /// on the sample set without any wire tagging. 0 disables sampling;
   /// 1 samples every tuple.
   std::uint32_t delay_sample_rate = 16;
-
-  /// When non-empty, every node wraps its transport in a RecordingTap and
-  /// streams its inbound frames (and recv timeouts/closures) to
-  /// `<record_dir>/rank<R>.sjrec` for offline deterministic replay
-  /// (src/obs/recording.h, tools/sjoin_replay.cpp). Empty = off.
-  std::string record_dir;
 };
 
+/// One struct to rule them all.
 struct SystemConfig {
   JoinConfig join;
   BalanceConfig balance;

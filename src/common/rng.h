@@ -9,24 +9,6 @@
 
 namespace sjoin {
 
-/// SplitMix64: used for seeding and for cheap stateless hashing/mixing.
-/// Reference: Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
-/// Generators", OOPSLA 2014.
-class SplitMix64 {
- public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
-
- private:
-  std::uint64_t state_;
-};
-
 /// Stateless 64-bit mix of a value; the hash function H used for stream
 /// partitioning and for extendible-hashing bucket addressing.
 constexpr std::uint64_t Mix64(std::uint64_t x) {

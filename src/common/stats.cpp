@@ -118,17 +118,4 @@ std::vector<double> DelayHistogramBounds() {
   return bounds;
 }
 
-void TimeWeightedAverage::Add(Time from, Time to, double value) {
-  assert(to >= from);
-  weighted_sum_ += value * static_cast<double>(to - from);
-  total_time_ += to - from;
-}
-
-double TimeWeightedAverage::Average() const {
-  return total_time_ > 0 ? weighted_sum_ / static_cast<double>(total_time_)
-                         : 0.0;
-}
-
-void TimeWeightedAverage::Reset() { *this = TimeWeightedAverage(); }
-
 }  // namespace sjoin

@@ -6,8 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/time.h"
-
 namespace sjoin {
 
 /// Welford-style running mean/variance plus min/max. Numerically stable and
@@ -78,21 +76,5 @@ class Histogram {
 /// Log-spaced bucket bounds (microseconds) suited to production-delay
 /// distributions: half-decade steps from 1 ms to 100 s.
 std::vector<double> DelayHistogramBounds();
-
-/// Time-weighted average of a piecewise-constant signal (e.g. instantaneous
-/// buffer occupancy between distribution epochs).
-class TimeWeightedAverage {
- public:
-  /// Records that the signal held `value` starting at `from` until `to`.
-  void Add(Time from, Time to, double value);
-
-  double Average() const;
-  Duration ObservedFor() const { return total_time_; }
-  void Reset();
-
- private:
-  double weighted_sum_ = 0.0;
-  Duration total_time_ = 0;
-};
 
 }  // namespace sjoin

@@ -5,22 +5,21 @@
 namespace sjoin {
 
 EpochTuner::EpochTuner(const EpochTunerConfig& cfg, Duration initial_epoch)
-    : cfg_(cfg),
-      epoch_(std::clamp(initial_epoch, cfg.min_epoch, cfg.max_epoch)) {}
+    : enabled_(cfg.enabled),
+      epoch_(std::clamp(initial_epoch, kMinEpoch, kMaxEpoch)) {}
 
 Duration EpochTuner::Update(double comm_fraction, double avg_occupancy) {
-  if (!cfg_.enabled) return epoch_;
-  if (comm_fraction > cfg_.comm_high) {
-    Duration grown = static_cast<Duration>(static_cast<double>(epoch_) *
-                                           cfg_.grow_factor);
-    grown = std::min(grown, cfg_.max_epoch);
+  if (!enabled_) return epoch_;
+  if (comm_fraction > kCommHigh) {
+    Duration grown =
+        static_cast<Duration>(static_cast<double>(epoch_) * kGrowFactor);
+    grown = std::min(grown, kMaxEpoch);
     if (grown != epoch_) {
       epoch_ = grown;
       ++grows_;
     }
-  } else if (comm_fraction < cfg_.comm_low &&
-             avg_occupancy < cfg_.occupancy_guard) {
-    Duration shrunk = std::max(epoch_ - cfg_.shrink_step, cfg_.min_epoch);
+  } else if (comm_fraction < kCommLow && avg_occupancy < kOccupancyGuard) {
+    Duration shrunk = std::max(epoch_ - kShrinkStep, kMinEpoch);
     if (shrunk != epoch_) {
       epoch_ = shrunk;
       ++shrinks_;

@@ -9,12 +9,12 @@
 // This controller walks t_d along that tradeoff with a simple, robust AIMD
 // rule driven by the communication *fraction* (share of each epoch the
 // slaves spend communicating), which is observable without any cost model:
-//   * comm fraction above `comm_high` -> multiplicative increase of t_d
+//   * comm fraction above kCommHigh -> multiplicative increase of t_d
 //     (messages too small; amortize the fixed per-message cost better);
-//   * comm fraction below `comm_low` AND backlog low -> additive decrease
+//   * comm fraction below kCommLow AND backlog low -> additive decrease
 //     of t_d (we can afford snappier delivery => lower delay);
 //   * anything else -> hold.
-// t_d is clamped to [min_epoch, max_epoch]; the reorganization epoch keeps
+// t_d is clamped to [kMinEpoch, kMaxEpoch]; the reorganization epoch keeps
 // its configured ratio to t_d so the paper's "order of magnitude larger"
 // invariant survives retuning.
 #pragma once
@@ -28,6 +28,24 @@ namespace sjoin {
 /// common/config.h alongside the rest of the system configuration).
 class EpochTuner {
  public:
+  static constexpr Duration kMinEpoch = 250 * kUsPerMs;
+  static constexpr Duration kMaxEpoch = 8 * kUsPerSec;
+
+  /// Comm fraction above which t_d grows (multiplicatively).
+  static constexpr double kCommHigh = 0.15;
+
+  /// Comm fraction below which t_d may shrink (additively), provided the
+  /// slaves are keeping up.
+  static constexpr double kCommLow = 0.05;
+
+  /// Average buffer occupancy above which shrinking is suppressed (smaller
+  /// epochs add overhead precisely when the system can least afford it).
+  static constexpr double kOccupancyGuard = 0.1;
+
+  /// Multiplicative-increase factor and additive-decrease step.
+  static constexpr double kGrowFactor = 1.5;
+  static constexpr Duration kShrinkStep = kUsPerSec;
+
   EpochTuner(const EpochTunerConfig& cfg, Duration initial_epoch);
 
   /// Feeds the interval's observations and returns the epoch to use next.
@@ -40,7 +58,7 @@ class EpochTuner {
   std::uint64_t Shrinks() const { return shrinks_; }
 
  private:
-  EpochTunerConfig cfg_;
+  bool enabled_;
   Duration epoch_;
   std::uint64_t grows_ = 0;
   std::uint64_t shrinks_ = 0;

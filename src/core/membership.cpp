@@ -89,8 +89,7 @@ ScaleDecision ElasticPolicy::Observe(double mean_occupancy,
     cooldown_ = cfg_.cooldown_epochs;
     return ScaleDecision::kOut;
   }
-  const std::uint32_t floor = std::max<std::uint32_t>(1, cfg_.min_members);
-  if (idle_streak_ >= cfg_.idle_epochs && members > floor) {
+  if (idle_streak_ >= cfg_.idle_epochs && members > 1) {
     surge_streak_ = 0;
     idle_streak_ = 0;
     cooldown_ = cfg_.cooldown_epochs;

@@ -103,9 +103,9 @@ class ElasticPolicy {
   explicit ElasticPolicy(const ElasticConfig& cfg) : cfg_(cfg) {}
 
   /// Feed one epoch's observation. `members` and `standbys` bound the
-  /// decision: kOut needs a standby to admit, kIn keeps at least
-  /// cfg.min_members (and never drops below one member). `skew_ratio` is
-  /// the epoch's max/median group-load ratio (0 when unknown).
+  /// decision: kOut needs a standby to admit, kIn never drops below one
+  /// member. `skew_ratio` is the epoch's max/median group-load ratio (0
+  /// when unknown).
   ScaleDecision Observe(double mean_occupancy, std::uint32_t members,
                         std::uint32_t standbys, double skew_ratio = 0.0);
 

@@ -340,8 +340,7 @@ ReplayResult ReplayNode(const obs::Recording& recording,
   const obs::RecordingManifest& m = recording.manifest;
   res.rank = m.rank;
 
-  SystemConfig cfg = m.cfg;
-  cfg.obs.record_dir.clear();  // replaying a replay records nothing
+  const SystemConfig& cfg = m.cfg;
 
   const std::uint64_t max_batches = ResolveBatchBreakpoint(m, opts);
   ReplayTransport rt(recording, max_batches);

@@ -1754,21 +1754,16 @@ CollectorSummary RunCollectorNode(Transport& transport,
     if (!msg.has_value()) break;
     if (msg->type == MsgType::kShutdown) {
       if (msg->from == 0) {
-        if (msg->payload.size() >= 4) {
-          Reader r(msg->payload);
-          expected = std::min(expected, r.GetU32());
-          if (msg->payload.size() >= 32) {
-            sum.dead_slaves = r.GetU32();
-            sum.groups_failed_over = r.GetU64();
-            sum.ckpt_bytes = r.GetU64();
-            sum.replayed_batches = r.GetU64();
-          }
-          if (msg->payload.size() >= 56) {
-            sum.joins = r.GetU64();
-            sum.leaves = r.GetU64();
-            sum.drain_moves = r.GetU64();
-          }
-        }
+        // The master's run summary: u32 live, u32 dead, then six u64.
+        Reader r(msg->payload);
+        expected = std::min(expected, r.GetU32());
+        sum.dead_slaves = r.GetU32();
+        sum.groups_failed_over = r.GetU64();
+        sum.ckpt_bytes = r.GetU64();
+        sum.replayed_batches = r.GetU64();
+        sum.joins = r.GetU64();
+        sum.leaves = r.GetU64();
+        sum.drain_moves = r.GetU64();
       } else {
         ++slave_shutdowns;
       }
@@ -1800,6 +1795,9 @@ CollectorSummary RunCollectorNode(Transport& transport,
   ob.flight.Record(0, "collector_done",
                    "reports=" + std::to_string(sum.reports) +
                        " outputs=" + std::to_string(sum.outputs));
+  // The collector has no epochs: one recorder row holds the run's totals,
+  // so a replay of its bundle has an artifact to match.
+  ob.recorder.Snapshot(0, 0, ob.registry);
   sum.avg_delay_us =
       sum.outputs > 0 ? delay_sum / static_cast<double>(sum.outputs) : 0.0;
   // Per-run observability line: result totals plus the master's recovery

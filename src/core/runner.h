@@ -249,9 +249,9 @@ struct CollectorSummary {
   std::uint64_t ckpt_bytes = 0;
   std::uint64_t replayed_batches = 0;
 
-  // Elastic membership mirror (zero on older/shorter shutdown payloads).
-  // The graceful-leave acceptance check keys on these: joins/leaves count
-  // completed transitions, drain_moves the groups migrated for them.
+  // Elastic membership mirror. The graceful-leave acceptance check keys on
+  // these: joins/leaves count completed transitions, drain_moves the groups
+  // migrated for them.
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
   std::uint64_t drain_moves = 0;
@@ -268,8 +268,9 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
 
 /// Runs the collector until shutdown. `transport.Self()` must be N+1.
 /// When `obs` is given, the collector records its registry/flight events
-/// there and finishes the slaves' stats_flow trace flows (sorted by logical
-/// send time, so the export is deterministic under a seeded run).
+/// there, snapshots its registry into the recorder once at exit, and
+/// finishes the slaves' stats_flow trace flows (sorted by logical send
+/// time, so the export is deterministic under a seeded run).
 CollectorSummary RunCollectorNode(Transport& transport, const SystemConfig& cfg,
                                   obs::NodeObs* obs = nullptr);
 

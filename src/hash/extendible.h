@@ -54,8 +54,8 @@ class ExtendibleDirectory {
   /// returned bucket (order is unspecified).
   using MergeFn = std::function<Bucket(Bucket&& a, Bucket&& b)>;
 
-  explicit ExtendibleDirectory(std::uint32_t max_global_depth = 24)
-      : max_global_depth_(max_global_depth) {
+  explicit ExtendibleDirectory(std::uint32_t max_depth = 24)
+      : max_global_depth_(max_depth) {
     dir_.push_back(std::make_shared<Node>());
   }
 

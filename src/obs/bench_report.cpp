@@ -383,7 +383,6 @@ std::vector<std::string> KnownBenchIds() {
       "ext_recovery_overhead",
       "ext_subgroup_buffer",
       "ext_theta_sweep",
-      "ext_wall_throughput",
       "ext_window_size",
       "ext_worker_scaling",
       "micro_benchmarks",

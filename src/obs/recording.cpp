@@ -32,7 +32,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU64(cfg.join.theta_bytes);
   w.PutU64(cfg.join.block_bytes);
   w.PutU8(cfg.join.fine_tuning ? 1 : 0);
-  w.PutU32(cfg.join.max_global_depth);
 
   w.PutDouble(cfg.balance.th_sup);
   w.PutDouble(cfg.balance.th_con);
@@ -46,13 +45,6 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU8(cfg.epoch.use_punctuation ? 1 : 0);
 
   w.PutU8(cfg.epoch_tuner.enabled ? 1 : 0);
-  w.PutI64(cfg.epoch_tuner.min_epoch);
-  w.PutI64(cfg.epoch_tuner.max_epoch);
-  w.PutDouble(cfg.epoch_tuner.comm_high);
-  w.PutDouble(cfg.epoch_tuner.comm_low);
-  w.PutDouble(cfg.epoch_tuner.occupancy_guard);
-  w.PutDouble(cfg.epoch_tuner.grow_factor);
-  w.PutI64(cfg.epoch_tuner.shrink_step);
 
   w.PutU8(cfg.replication.enabled ? 1 : 0);
   w.PutU32(cfg.replication.ckpt_interval_epochs);
@@ -67,14 +59,12 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutU32(el.surge_epochs);
   w.PutDouble(el.idle_occupancy);
   w.PutU32(el.idle_epochs);
-  w.PutU32(el.min_members);
   w.PutU32(el.cooldown_epochs);
   w.PutDouble(el.skew_scale_in_veto);
 
   w.PutU8(cfg.net.use_inet ? 1 : 0);
 
   w.PutU32(cfg.obs.delay_sample_rate);
-  w.PutString(cfg.obs.record_dir);
 
   w.PutDouble(cfg.workload.lambda);
   w.PutU32(static_cast<std::uint32_t>(cfg.workload.rate_schedule.size()));
@@ -107,7 +97,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.join.theta_bytes = static_cast<std::size_t>(r.GetU64());
   cfg.join.block_bytes = static_cast<std::size_t>(r.GetU64());
   cfg.join.fine_tuning = r.GetU8() != 0;
-  cfg.join.max_global_depth = r.GetU32();
 
   cfg.balance.th_sup = r.GetDouble();
   cfg.balance.th_con = r.GetDouble();
@@ -121,13 +110,6 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.epoch.use_punctuation = r.GetU8() != 0;
 
   cfg.epoch_tuner.enabled = r.GetU8() != 0;
-  cfg.epoch_tuner.min_epoch = r.GetI64();
-  cfg.epoch_tuner.max_epoch = r.GetI64();
-  cfg.epoch_tuner.comm_high = r.GetDouble();
-  cfg.epoch_tuner.comm_low = r.GetDouble();
-  cfg.epoch_tuner.occupancy_guard = r.GetDouble();
-  cfg.epoch_tuner.grow_factor = r.GetDouble();
-  cfg.epoch_tuner.shrink_step = r.GetI64();
 
   cfg.replication.enabled = r.GetU8() != 0;
   cfg.replication.ckpt_interval_epochs = r.GetU32();
@@ -142,14 +124,12 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   el.surge_epochs = r.GetU32();
   el.idle_occupancy = r.GetDouble();
   el.idle_epochs = r.GetU32();
-  el.min_members = r.GetU32();
   el.cooldown_epochs = r.GetU32();
   el.skew_scale_in_veto = r.GetDouble();
 
   cfg.net.use_inet = r.GetU8() != 0;
 
   cfg.obs.delay_sample_rate = r.GetU32();
-  cfg.obs.record_dir = r.GetString();
 
   cfg.workload.lambda = r.GetDouble();
   const std::uint32_t phases = r.GetU32();

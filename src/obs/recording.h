@@ -48,9 +48,11 @@ namespace sjoin::obs {
 // recorded kCkptCmd entries and kCheckpoint segments carry a committed
 // epoch, so a v3 bundle's checkpoint frames no longer decode; v5 drops
 // three config fields (handshake retries and backoff cap, flight-ring
-// size) and adds the master's membership schedule to the manifest. Only
+// size) and adds the master's membership schedule to the manifest; v6
+// drops ten more (the epoch tuner's seven bounds and rates, the directory
+// depth cap, the elastic scale-in floor and the record directory). Only
 // the current schema loads.
-inline constexpr std::uint32_t kRecordingSchemaVersion = 5;
+inline constexpr std::uint32_t kRecordingSchemaVersion = 6;
 inline constexpr char kRecordingMagic[6] = {'S', 'J', 'R', 'E', 'C', '\n'};
 
 /// Peer value recorded for an untargeted Recv()/RecvTimed() timeout or
@@ -116,7 +118,7 @@ struct RecordingManifest {
   std::uint32_t wall_recv_max_retries = 0;
 };
 
-// -- Codec (schema v1) ------------------------------------------------------
+// -- Codec (kRecordingSchemaVersion) ---------------------------------------
 
 void EncodeSystemConfig(Writer& w, const SystemConfig& cfg);
 SystemConfig DecodeSystemConfig(Reader& r);  // throws DecodeError

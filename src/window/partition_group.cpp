@@ -31,7 +31,7 @@ PartitionGroup::PartitionGroup(const JoinConfig& cfg, std::size_t tuple_bytes)
       block_capacity_(cfg.block_bytes / tuple_bytes),
       theta_bytes_(cfg.theta_bytes),
       fine_tuning_(cfg.fine_tuning),
-      dir_(cfg.max_global_depth) {
+      dir_(kMaxGlobalDepth) {
   assert(block_capacity_ > 0);
 }
 

@@ -51,6 +51,11 @@ class MiniGroup {
 
 class PartitionGroup {
  public:
+  /// Safety cap on the extendible-hashing global depth, preventing unbounded
+  /// directory doubling when a single hot key dominates a bucket (such a
+  /// bucket cannot be split by hashing at any depth).
+  static constexpr std::uint32_t kMaxGlobalDepth = 10;
+
   PartitionGroup(const JoinConfig& cfg, std::size_t tuple_bytes);
 
   /// Hash used for mini-group addressing within a group. Decorrelated from

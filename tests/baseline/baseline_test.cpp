@@ -2,7 +2,6 @@
 
 #include "baseline/atr.h"
 #include "baseline/ctr.h"
-#include "baseline/single_node.h"
 #include "gen/stream_source.h"
 #include "join/reference_join.h"
 
@@ -23,32 +22,6 @@ SystemConfig FastCfg() {
   cfg.cost.cmp_ns = 5.0;
   cfg.cost.msg_fixed_us = 500;
   return cfg;
-}
-
-TEST(SingleNodeTest, KeepsUpAtLowRate) {
-  SystemConfig cfg = FastCfg();
-  auto res = RunSingleNode(cfg, 2 * kUsPerSec, 10 * kUsPerSec);
-  EXPECT_TRUE(res.KeptUp());
-  EXPECT_GT(res.outputs, 0u);
-  EXPECT_GT(res.idle, 0);
-  // Under-loaded single node: delays are sub-second.
-  EXPECT_LT(res.delay_us.Mean(), static_cast<double>(kUsPerSec));
-}
-
-TEST(SingleNodeTest, OverloadAccumulatesBacklog) {
-  SystemConfig cfg = FastCfg();
-  cfg.cost.tuple_fixed_ns = 5'000'000.0;  // 5 ms per tuple vs 2.5 ms gap
-  auto res = RunSingleNode(cfg, 2 * kUsPerSec, 10 * kUsPerSec);
-  EXPECT_FALSE(res.KeptUp());
-  EXPECT_GT(res.delay_us.Mean(), static_cast<double>(kUsPerSec));
-}
-
-TEST(SingleNodeTest, Deterministic) {
-  SystemConfig cfg = FastCfg();
-  auto a = RunSingleNode(cfg, kUsPerSec, 5 * kUsPerSec);
-  auto b = RunSingleNode(cfg, kUsPerSec, 5 * kUsPerSec);
-  EXPECT_EQ(a.outputs, b.outputs);
-  EXPECT_EQ(a.comparisons, b.comparisons);
 }
 
 TEST(AtrTest, RunsAndProducesOutputs) {

@@ -8,18 +8,6 @@
 namespace sjoin {
 namespace {
 
-TEST(SplitMix64Test, DeterministicSequence) {
-  SplitMix64 a(123);
-  SplitMix64 b(123);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
-}
-
-TEST(SplitMix64Test, DifferentSeedsDiffer) {
-  SplitMix64 a(1);
-  SplitMix64 b(2);
-  EXPECT_NE(a.Next(), b.Next());
-}
-
 TEST(Mix64Test, IsAPermutationOnSamples) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 10000; ++i) seen.insert(Mix64(i));

@@ -159,19 +159,5 @@ TEST(HistogramTest, QuantileClampsOutOfRangeQ) {
   EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Quantile(1.0));
 }
 
-TEST(TimeWeightedAverageTest, WeightsByDuration) {
-  TimeWeightedAverage twa;
-  twa.Add(0, 10, 1.0);
-  twa.Add(10, 40, 5.0);
-  // (1*10 + 5*30) / 40 = 4.0
-  EXPECT_DOUBLE_EQ(twa.Average(), 4.0);
-  EXPECT_EQ(twa.ObservedFor(), 40);
-}
-
-TEST(TimeWeightedAverageTest, EmptyIsZero) {
-  TimeWeightedAverage twa;
-  EXPECT_DOUBLE_EQ(twa.Average(), 0.0);
-}
-
 }  // namespace
 }  // namespace sjoin

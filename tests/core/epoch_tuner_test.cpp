@@ -5,16 +5,13 @@
 namespace sjoin {
 namespace {
 
+// The expectations spell the controller's constants out as literals
+// (growth x1.5, shrink by 1 s, clamp to [250 ms, 8 s], comm band
+// [0.05, 0.15], occupancy guard 0.1), so a change to any of them fails here.
+
 EpochTunerConfig Cfg() {
   EpochTunerConfig cfg;
   cfg.enabled = true;
-  cfg.min_epoch = 500 * kUsPerMs;
-  cfg.max_epoch = 8 * kUsPerSec;
-  cfg.comm_high = 0.15;
-  cfg.comm_low = 0.05;
-  cfg.occupancy_guard = 0.1;
-  cfg.grow_factor = 2.0;
-  cfg.shrink_step = 500 * kUsPerMs;
   return cfg;
 }
 
@@ -29,8 +26,9 @@ TEST(EpochTunerTest, DisabledNeverMoves) {
 
 TEST(EpochTunerTest, GrowsOnHighCommFraction) {
   EpochTuner tuner(Cfg(), 2 * kUsPerSec);
-  EXPECT_EQ(tuner.Update(0.3, 0.0), 4 * kUsPerSec);
-  EXPECT_EQ(tuner.Grows(), 1u);
+  EXPECT_EQ(tuner.Update(0.3, 0.0), 3 * kUsPerSec);
+  EXPECT_EQ(tuner.Update(0.16, 0.0), 4500 * kUsPerMs);
+  EXPECT_EQ(tuner.Grows(), 2u);
 }
 
 TEST(EpochTunerTest, GrowthIsClampedAtMax) {
@@ -41,32 +39,40 @@ TEST(EpochTunerTest, GrowthIsClampedAtMax) {
 }
 
 TEST(EpochTunerTest, ShrinksWhenCommIsCheapAndLoadIsLow) {
-  EpochTuner tuner(Cfg(), 2 * kUsPerSec);
-  EXPECT_EQ(tuner.Update(0.01, 0.0), 1500 * kUsPerMs);
-  EXPECT_EQ(tuner.Shrinks(), 1u);
+  EpochTuner tuner(Cfg(), 3 * kUsPerSec);
+  EXPECT_EQ(tuner.Update(0.01, 0.0), 2 * kUsPerSec);
+  EXPECT_EQ(tuner.Update(0.04, 0.09), 1 * kUsPerSec);
+  EXPECT_EQ(tuner.Shrinks(), 2u);
 }
 
 TEST(EpochTunerTest, ShrinkIsClampedAtMin) {
   EpochTuner tuner(Cfg(), 700 * kUsPerMs);
-  EXPECT_EQ(tuner.Update(0.01, 0.0), 500 * kUsPerMs);
-  EXPECT_EQ(tuner.Update(0.01, 0.0), 500 * kUsPerMs);
+  EXPECT_EQ(tuner.Update(0.01, 0.0), 250 * kUsPerMs);
+  EXPECT_EQ(tuner.Update(0.01, 0.0), 250 * kUsPerMs);
   EXPECT_EQ(tuner.Shrinks(), 1u);
 }
 
 TEST(EpochTunerTest, OccupancyGuardSuppressesShrink) {
   EpochTuner tuner(Cfg(), 2 * kUsPerSec);
   EXPECT_EQ(tuner.Update(0.01, 0.5), 2 * kUsPerSec);
+  EXPECT_EQ(tuner.Update(0.01, 0.1), 2 * kUsPerSec);  // the guard itself
   EXPECT_EQ(tuner.Shrinks(), 0u);
 }
 
 TEST(EpochTunerTest, DeadBandHolds) {
   EpochTuner tuner(Cfg(), 2 * kUsPerSec);
   EXPECT_EQ(tuner.Update(0.10, 0.0), 2 * kUsPerSec);
+  EXPECT_EQ(tuner.Update(0.15, 0.0), 2 * kUsPerSec);  // upper edge holds
+  EXPECT_EQ(tuner.Update(0.05, 0.0), 2 * kUsPerSec);  // lower edge holds
+  EXPECT_EQ(tuner.Grows(), 0u);
+  EXPECT_EQ(tuner.Shrinks(), 0u);
 }
 
 TEST(EpochTunerTest, InitialEpochClampedIntoRange) {
-  EpochTuner tuner(Cfg(), 100 * kUsPerSec);
-  EXPECT_EQ(tuner.CurrentEpoch(), 8 * kUsPerSec);
+  EXPECT_EQ(EpochTuner(Cfg(), 100 * kUsPerSec).CurrentEpoch(),
+            8 * kUsPerSec);
+  EXPECT_EQ(EpochTuner(Cfg(), 100 * kUsPerMs).CurrentEpoch(),
+            250 * kUsPerMs);
 }
 
 TEST(EpochTunerTest, ConvergesUnderAlternatingPressure) {
@@ -75,7 +81,7 @@ TEST(EpochTunerTest, ConvergesUnderAlternatingPressure) {
   EpochTuner tuner(Cfg(), 2 * kUsPerSec);
   for (int i = 0; i < 100; ++i) {
     Duration e = tuner.Update(i % 2 == 0 ? 0.4 : 0.01, 0.0);
-    EXPECT_GE(e, 500 * kUsPerMs);
+    EXPECT_GE(e, 250 * kUsPerMs);
     EXPECT_LE(e, 8 * kUsPerSec);
   }
   EXPECT_GT(tuner.Grows(), 10u);

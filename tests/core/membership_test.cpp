@@ -105,7 +105,7 @@ TEST(CheckpointAckGuardTest, DuplicateAndRegressingAcksDropped) {
 }
 
 // ---------------------------------------------------------------------------
-// ElasticPolicy: hysteresis, floors, cooldown.
+// ElasticPolicy: hysteresis, the one-member floor, cooldown.
 
 ElasticConfig PolicyCfg() {
   ElasticConfig cfg;
@@ -115,7 +115,6 @@ ElasticConfig PolicyCfg() {
   cfg.surge_epochs = 3;
   cfg.idle_occupancy = 0.01;
   cfg.idle_epochs = 4;
-  cfg.min_members = 1;
   cfg.cooldown_epochs = 2;
   return cfg;
 }
@@ -152,19 +151,8 @@ TEST(ElasticPolicyTest, ScaleInAfterConsecutiveIdleEpochs) {
   EXPECT_EQ(p.Observe(0.0, 3, 0), ScaleDecision::kIn);
 }
 
-TEST(ElasticPolicyTest, ScaleInRespectsMinMembersFloor) {
-  ElasticConfig cfg = PolicyCfg();
-  cfg.min_members = 2;
-  ElasticPolicy p(cfg);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(p.Observe(0.0, /*members=*/2, 0), ScaleDecision::kNone) << i;
-  }
-}
-
 TEST(ElasticPolicyTest, NeverDrainsTheLastMember) {
-  ElasticConfig cfg = PolicyCfg();
-  cfg.min_members = 0;  // even a zero floor keeps one member
-  ElasticPolicy p(cfg);
+  ElasticPolicy p(PolicyCfg());
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(p.Observe(0.0, /*members=*/1, 2), ScaleDecision::kNone) << i;
   }

@@ -259,14 +259,14 @@ TEST(SimDriverTest, RateScheduleDrivesLoadPhases) {
 
 TEST(SimDriverTest, EpochTunerGrowsShortEpochsInSim) {
   SystemConfig cfg = FastCfg();
-  cfg.epoch.t_dist = 100 * kUsPerMs;  // absurdly chatty
+  // Starts at the tuner's 250 ms floor, so any growth comes from the comm
+  // fraction, not from clamping the initial epoch.
+  cfg.epoch.t_dist = 250 * kUsPerMs;
   cfg.epoch.t_rep = kUsPerSec;
   cfg.epoch_tuner.enabled = true;
-  cfg.epoch_tuner.min_epoch = 100 * kUsPerMs;
-  cfg.epoch_tuner.max_epoch = 4 * kUsPerSec;
-  // 20 ms of fixed cost per message at 100 ms epochs: ~20% of every epoch
-  // is communication, well above comm_high.
-  cfg.cost.msg_fixed_us = 20'000;
+  // 50 ms of fixed cost per message at 250 ms epochs: ~20% of every epoch
+  // is communication, above the tuner's 0.15 growth threshold.
+  cfg.cost.msg_fixed_us = 50'000;
   SimOptions opts{0, 30 * kUsPerSec};
   RunMetrics rm = SimDriver(cfg, opts).Run();
   EXPECT_GT(rm.epoch_grows, 0u);

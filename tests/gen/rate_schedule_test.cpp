@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/stream_source.h"
 
 namespace sjoin {
@@ -25,12 +27,35 @@ TEST(RateScheduleTest, PhasesAndCycling) {
 }
 
 TEST(ModulatedPoissonTest, ConstantScheduleMatchesRate) {
-  ModulatedPoisson p(RateSchedule(2000.0), 7);
+  // Every source draws its arrivals here; 100 and 6000 bracket Table I's
+  // 1500 tuples/s per stream.
+  for (const double rate : {2000.0, 100.0, 1500.0, 6000.0}) {
+    ModulatedPoisson p(RateSchedule(rate), 7);
+    const int n = 100000;
+    Time last = 0;
+    for (int i = 0; i < n; ++i) last = p.NextArrival();
+    const double measured = n / UsToSeconds(last);
+    EXPECT_NEAR(measured, rate, 0.03 * rate) << "rate " << rate;
+  }
+}
+
+TEST(ModulatedPoissonTest, VarianceOfExponentialGaps) {
+  // Exponential(lambda) gaps: variance = 1/lambda^2 => cv = 1.
+  ModulatedPoisson p(RateSchedule(1000.0), 13);
   const int n = 100000;
-  Time last = 0;
-  for (int i = 0; i < n; ++i) last = p.NextArrival();
-  double measured = n / UsToSeconds(last);
-  EXPECT_NEAR(measured, 2000.0, 60.0);
+  double sum = 0;
+  double sum2 = 0;
+  Time prev = 0;
+  for (int i = 0; i < n; ++i) {
+    const Time t = p.NextArrival();
+    const auto g = static_cast<double>(t - prev);
+    prev = t;
+    sum += g;
+    sum2 += g * g;
+  }
+  const double mean = sum / n;
+  const double var = sum2 / n - mean * mean;
+  EXPECT_NEAR(std::sqrt(var) / mean, 1.0, 0.05);
 }
 
 TEST(ModulatedPoissonTest, StrictlyIncreasing) {

@@ -25,7 +25,7 @@ namespace sjoin {
 
 namespace {
 
-/// Fresh per-run directory for auto-recorded bundles (cfg.obs.record_dir
+/// Fresh per-run directory for auto-recorded bundles (opts.record_dir
 /// empty): unique under the system temp dir, deleted again unless the run
 /// fails its differential check.
 std::string MakeTempRecordDir() {
@@ -128,13 +128,13 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     result.obs[r]->trace.SetEnabled(opts.trace_events);
   }
 
-  // Every run records: to cfg.obs.record_dir when set, else to a temp dir
+  // Every run records: to opts.record_dir when set, else to a temp dir
   // kept only on differential failure. The tap is outermost (around the
   // fault endpoint) so bundles hold frames exactly as the node saw them,
   // after injection.
-  const bool explicit_record_dir = !opts.cfg.obs.record_dir.empty();
+  const bool explicit_record_dir = !opts.record_dir.empty();
   const std::string record_dir =
-      explicit_record_dir ? opts.cfg.obs.record_dir : MakeTempRecordDir();
+      explicit_record_dir ? opts.record_dir : MakeTempRecordDir();
 
   std::vector<std::unique_ptr<FaultEndpoint>> endpoints(n + 2);
   std::vector<std::unique_ptr<RecordingTap>> taps(n + 2);
@@ -264,6 +264,11 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     }
     WriteFileRaw(record_dir + "/epochs_rank0.csv",
                  result.obs[0]->recorder.ExportCsv());
+    const std::string collector = std::to_string(n + 1);
+    WriteFileRaw(record_dir + "/epochs_rank" + collector + ".csv",
+                 result.obs[n + 1]->recorder.ExportCsv());
+    WriteFileRaw(record_dir + "/epochs_rank" + collector + ".jsonl",
+                 result.obs[n + 1]->recorder.ExportJsonl());
     for (Rank r = 0; r < result.rank_traces.size(); ++r) {
       WriteFileRaw(record_dir + "/trace_rank" + std::to_string(r) + ".json",
                    result.rank_traces[r]);

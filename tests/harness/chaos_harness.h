@@ -56,6 +56,11 @@ struct ChaosClusterOptions {
   /// ChaosClusterResult::trace_json. Off by default (registries and
   /// recorders are always on regardless).
   bool trace_events = false;
+
+  /// Where every rank's `rank<R>.sjrec` bundle and the live artifacts go
+  /// (always kept). Empty: a temp directory, kept only when the
+  /// differential check fails (see ChaosClusterResult::recording).
+  std::string record_dir;
 };
 
 /// Where a run's record/replay bundles ended up (see RunChaosCluster).
@@ -93,8 +98,8 @@ struct ChaosClusterResult {
   std::uint64_t dup_group_epoch_ranks = 0;
 
   /// Per-rank observability bundles (index = rank, 0 .. num_slaves + 1; the
-  /// collector's exists but stays empty -- it has no instrumented runner
-  /// state). The master's carries the ClusterMetricsView assembled from
+  /// collector's holds its two counters and one recorder row of run
+  /// totals). The master's carries the ClusterMetricsView assembled from
   /// kMetrics frames. Registry counters on the fault endpoints are attached
   /// to the same bundles (volatile families).
   std::vector<std::unique_ptr<obs::NodeObs>> obs;
@@ -111,7 +116,8 @@ struct ChaosClusterResult {
   std::vector<std::string> rank_traces;
 
   /// Record/replay bundles of this run. Every chaos run is recorded: to
-  /// cfg.obs.record_dir when set (always kept), else to a temp directory
+  /// ChaosClusterOptions::record_dir when set (always kept), else to a temp
+  /// directory
   /// that is kept -- and copied into the CI artifact dir -- only when the
   /// differential check fails, so any red run ships a one-command repro
   /// (`sjoin_replay --bundle <dir>/rank<R>.sjrec`).

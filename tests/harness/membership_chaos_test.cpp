@@ -452,7 +452,7 @@ TEST(MembershipChaosTest, PolicyProposesScaleOutOnSurge) {
 }
 
 // Two idle members: consecutive idle epochs must make the policy propose
-// scale-in down to the min_members floor (one member), via a graceful
+// scale-in down to the policy's floor of one member, via a graceful
 // drain -- exact output, no duplicates.
 TEST(MembershipChaosTest, PolicyProposesScaleInWhenIdle) {
   ChaosClusterOptions opts = ElasticBaseOptions(107);
@@ -461,7 +461,6 @@ TEST(MembershipChaosTest, PolicyProposesScaleInWhenIdle) {
   opts.cfg.cluster.elastic.idle_occupancy = 2.0;  // everything counts as idle
   opts.cfg.cluster.elastic.idle_epochs = 3;
   opts.cfg.cluster.elastic.cooldown_epochs = 2;
-  opts.cfg.cluster.elastic.min_members = 1;
   ChaosClusterResult r = RunChaosCluster(opts);
   DumpArtifacts("policy_scale_in", r);
   EXPECT_EQ(r.master.dead_slaves, 0u);

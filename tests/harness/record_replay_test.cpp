@@ -68,7 +68,7 @@ ChaosClusterOptions CrashOptions(const std::string& record_dir) {
   opts.cfg.epoch.t_rep = 20 * kUsPerMs;
   opts.cfg.replication.enabled = true;
   opts.cfg.replication.ckpt_interval_epochs = 2;
-  opts.cfg.obs.record_dir = record_dir;
+  opts.record_dir = record_dir;
   opts.wall.run_for = 10 * kUsPerSec;
   opts.wall.recv_timeout_us = 250 * kUsPerMs;
   opts.wall.recv_max_retries = 3;
@@ -190,6 +190,38 @@ TEST(RecordReplayTest, RecordedMasterWithMembershipScheduleReplays) {
   ASSERT_TRUE(col.ok) << col.error;
   EXPECT_FALSE(col.epochs_done.has_value());
   EXPECT_NE(col.state_json.find("\"epochs_done\":null"), std::string::npos);
+}
+
+// The collector writes its epoch files in every run, traced or not: one
+// recorder row of run totals. Its replay reproduces both files, and the
+// row's counters are nonzero, so the check compares real content.
+TEST(RecordReplayTest, RecordedCollectorReplaysItsEpochFiles) {
+  TempDir dir;
+  ChaosClusterOptions opts = CrashOptions(dir.path);
+  opts.trace_events = false;
+  ChaosClusterResult live = RunChaosCluster(opts);
+  ASSERT_TRUE(live.exact) << "missing=" << live.missing.size()
+                          << " extra=" << live.extra.size();
+  ASSERT_GT(live.master.dead_slaves, 0u);
+
+  const Rank collector = opts.cfg.num_slaves + 1;
+  const std::string rs = std::to_string(collector);
+  const obs::EpochRecorder& rec = live.obs[collector]->recorder;
+  ASSERT_EQ(rec.Rows().size(), 1u);
+  EXPECT_GT(rec.Back().cells.at("collector_reports").i, 0);
+  EXPECT_GT(rec.Back().cells.at("collector_outputs").i, 0);
+
+  obs::LoadRecordingResult loaded =
+      obs::LoadRecording(obs::RecordingBundlePath(dir.path, collector));
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  const ReplayResult rep = ReplayNode(loaded.recording, {});
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_FALSE(rep.control_divergence) << rep.divergence_note;
+  EXPECT_EQ(rep.epoch_csv,
+            ReadFileRaw(dir.path + "/epochs_rank" + rs + ".csv"));
+  EXPECT_EQ(rep.epoch_jsonl,
+            ReadFileRaw(dir.path + "/epochs_rank" + rs + ".jsonl"));
+  EXPECT_EQ(rep.epoch_csv, rec.ExportCsv());
 }
 
 TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {

@@ -151,12 +151,12 @@ TEST(BenchSuiteTest, RoundTripAndModeConsistency) {
 
 TEST(BenchReportTest, KnownBenchIdsCoverTheSuite) {
   std::vector<std::string> ids = KnownBenchIds();
-  EXPECT_EQ(ids.size(), 26u);
+  EXPECT_EQ(ids.size(), 25u);
   for (const char* expected :
        {"fig05_delay_small", "table1_defaults", "micro_benchmarks",
         "ext_recovery_overhead", "ext_worker_scaling",
         "ext_elastic_scaling", "ext_delay_telemetry",
-        "ext_record_replay", "ext_wall_throughput"}) {
+        "ext_record_replay"}) {
     bool found = false;
     for (const std::string& id : ids) found = found || id == expected;
     EXPECT_TRUE(found) << expected;

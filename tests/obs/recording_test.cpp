@@ -47,7 +47,6 @@ SystemConfig NonDefaultConfig() {
   cfg.epoch.t_dist = 7777;
   cfg.epoch.use_punctuation = true;
   cfg.epoch_tuner.enabled = true;
-  cfg.epoch_tuner.grow_factor = 1.5;
   cfg.replication.enabled = true;
   cfg.replication.ckpt_interval_epochs = 3;
   cfg.slave.workers = 4;
@@ -57,7 +56,6 @@ SystemConfig NonDefaultConfig() {
   cfg.cluster.elastic.surge_occupancy = 0.9;
   cfg.net.use_inet = true;
   cfg.obs.delay_sample_rate = 13;
-  cfg.obs.record_dir = "somewhere/else";
   cfg.workload.lambda = 321.5;
   cfg.workload.rate_schedule.push_back(RatePhase{1000, 50.0});
   cfg.workload.rate_schedule.push_back(RatePhase{2000, 150.0});
@@ -127,6 +125,7 @@ TEST(RecordingCodecTest, ManifestRoundTripsWithInputTrace) {
   Reader r(w.Bytes());
   const RecordingManifest back = DecodeManifest(r);
   EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(back.schema, 6u);
   EXPECT_EQ(back.build_version, "test-build");
   EXPECT_EQ(back.membership_epoch, 12u);
   EXPECT_EQ(back.config_summary, m.config_summary);
@@ -148,10 +147,11 @@ TEST(RecordingCodecTest, ManifestRejectsWrongSchema) {
   Writer w;
   EncodeManifest(w, m);
   // 2 had an execution-mode byte, 3 checkpoint frames without a committed
-  // epoch, 4 three more config fields and no membership schedule: no
-  // reader.
-  for (const std::uint8_t schema : {std::uint8_t{99}, std::uint8_t{2},
-                                    std::uint8_t{3}, std::uint8_t{4}}) {
+  // epoch, 4 three more config fields and no membership schedule, 5 ten
+  // more config fields: no reader.
+  for (const std::uint8_t schema :
+       {std::uint8_t{99}, std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{4},
+        std::uint8_t{5}}) {
     std::vector<std::uint8_t> bytes(w.Bytes().begin(), w.Bytes().end());
     bytes[0] = schema;  // schema field is the leading u32
     Reader r(bytes);

@@ -18,7 +18,6 @@ JoinConfig SmallCfg(bool tuning = true) {
   cfg.block_bytes = 128;
   cfg.theta_bytes = 256;
   cfg.fine_tuning = tuning;
-  cfg.max_global_depth = 8;
   return cfg;
 }
 constexpr std::size_t kTupleBytes = 32;
@@ -102,6 +101,20 @@ TEST(PartitionGroupTest, RepeatedGrowthKeepsMiniGroupsBounded) {
   // bound unless the directory hit max depth.
   EXPECT_GT(g.MiniGroupCount(), 10u);
   EXPECT_EQ(g.TotalCount(), 400u);
+}
+
+// One hot key cannot be separated by hashing at any depth: tuning splits
+// its mini-group until the directory reaches its depth cap of 10, then
+// stops.
+TEST(PartitionGroupTest, HotKeyStopsAtTheDepthCap) {
+  PartitionGroup g(SmallCfg(), kTupleBytes);
+  for (Time ts = 1; ts <= 40; ++ts) {
+    g.InstallSealed(Rec{ts, 42, static_cast<StreamId>(ts % 2)});
+  }
+  g.MaybeTune(42);
+  EXPECT_EQ(g.Directory().GlobalDepth(), 10u);
+  EXPECT_EQ(g.Splits(), 10u);
+  EXPECT_EQ(g.TotalCount(), 40u);
 }
 
 TEST(PartitionGroupTest, MergeAfterShrinking) {

@@ -16,7 +16,6 @@ JoinConfig SmallCfg(bool tuning = true) {
   cfg.block_bytes = 128;
   cfg.theta_bytes = 256;
   cfg.fine_tuning = tuning;
-  cfg.max_global_depth = 8;
   return cfg;
 }
 constexpr std::size_t kTupleBytes = 32;
