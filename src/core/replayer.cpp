@@ -135,87 +135,36 @@ void ReplayTransport::Send(Rank to, Message msg) {
   sends_.push_back(std::move(f));
 }
 
-std::optional<Message> ReplayTransport::Recv() {
+RecvResult ReplayTransport::Deliver(std::optional<Rank> want_peer,
+                                    Duration timeout_us) {
   while (true) {
-    std::optional<Stimulus> s = Next(std::nullopt);
-    if (!s.has_value()) return std::nullopt;
+    std::optional<Stimulus> s = Next(want_peer);
+    if (!s.has_value()) return RecvResult{};  // kClosed
     switch (s->ev->kind) {
       case obs::RecordKind::kFrameIn:
-        return FromRecordedFrame(s->ev->frame);
-      case obs::RecordKind::kClosed:
-        return std::nullopt;
+        return RecvResult{RecvStatus::kOk, FromRecordedFrame(s->ev->frame)};
       case obs::RecordKind::kTimeout:
+        if (timeout_us >= 0) return RecvResult{RecvStatus::kTimeout, {}};
         // An untimed recv cannot time out: the live call at this position
         // was a timed one, so the control flow has already diverged. Skip
         // the stimulus and keep the replay moving.
         NoteDivergence("timeout stimulus " + std::to_string(s->seq) +
-                       " reached an untimed recv");
+                       " reached an untimed " +
+                       (want_peer.has_value() ? "recv-from" : "recv"));
         continue;
-      case obs::RecordKind::kFrameOut:
-        continue;  // filtered out at construction; unreachable
-    }
-  }
-}
-
-std::optional<Message> ReplayTransport::RecvFrom(Rank from) {
-  while (true) {
-    std::optional<Stimulus> s = Next(from);
-    if (!s.has_value()) return std::nullopt;
-    switch (s->ev->kind) {
-      case obs::RecordKind::kFrameIn:
-        return FromRecordedFrame(s->ev->frame);
       case obs::RecordKind::kClosed:
-        return std::nullopt;
-      case obs::RecordKind::kTimeout:
-        NoteDivergence("timeout stimulus " + std::to_string(s->seq) +
-                       " reached an untimed recv-from");
-        continue;
-      case obs::RecordKind::kFrameOut:
-        continue;
+      case obs::RecordKind::kFrameOut:  // filtered out at construction
+        return RecvResult{};
     }
   }
 }
 
 RecvResult ReplayTransport::RecvTimed(Duration timeout_us) {
-  (void)timeout_us;  // replay consumes recorded outcomes, never waits
-  RecvResult res;
-  std::optional<Stimulus> s = Next(std::nullopt);
-  if (!s.has_value()) return res;  // kClosed
-  switch (s->ev->kind) {
-    case obs::RecordKind::kFrameIn:
-      res.status = RecvStatus::kOk;
-      res.msg = FromRecordedFrame(s->ev->frame);
-      break;
-    case obs::RecordKind::kTimeout:
-      res.status = RecvStatus::kTimeout;
-      break;
-    case obs::RecordKind::kClosed:
-    case obs::RecordKind::kFrameOut:
-      res.status = RecvStatus::kClosed;
-      break;
-  }
-  return res;
+  return Deliver(std::nullopt, timeout_us);
 }
 
 RecvResult ReplayTransport::RecvFromTimed(Rank from, Duration timeout_us) {
-  (void)timeout_us;
-  RecvResult res;
-  std::optional<Stimulus> s = Next(from);
-  if (!s.has_value()) return res;
-  switch (s->ev->kind) {
-    case obs::RecordKind::kFrameIn:
-      res.status = RecvStatus::kOk;
-      res.msg = FromRecordedFrame(s->ev->frame);
-      break;
-    case obs::RecordKind::kTimeout:
-      res.status = RecvStatus::kTimeout;
-      break;
-    case obs::RecordKind::kClosed:
-    case obs::RecordKind::kFrameOut:
-      res.status = RecvStatus::kClosed;
-      break;
-  }
-  return res;
+  return Deliver(from, timeout_us);
 }
 
 std::uint64_t ReplayTransport::FramesDelivered() const {

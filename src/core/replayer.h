@@ -13,7 +13,7 @@
 // compared.
 //
 // Breakpoints: `until_epoch` stops delivery before the (N+1)-th kTupleBatch
-// frame; the slave's FIFO work queue guarantees every delivered batch is
+// frame; the slave's FIFO frame queue guarantees every delivered batch is
 // fully joined before the stop lands, so the inspection seam
 // (WallOptions::slave_inspect) observes exactly the post-epoch-N state,
 // which is dumped as JSON with per-partition-group digests.
@@ -55,8 +55,9 @@ class ReplayTransport : public Transport {
 
   Rank Self() const override { return self_; }
   void Send(Rank to, Message msg) override;
-  std::optional<Message> Recv() override;
-  std::optional<Message> RecvFrom(Rank from) override;
+  /// Both timed receives ignore the length of a timeout: a recorded timeout
+  /// is delivered as one. A timeout stimulus that reaches an untimed
+  /// receive (`timeout_us < 0`) is a control divergence; it is skipped.
   RecvResult RecvTimed(Duration timeout_us) override;
   RecvResult RecvFromTimed(Rank from, Duration timeout_us) override;
 
@@ -84,6 +85,8 @@ class ReplayTransport : public Transport {
   /// breakpoint. `want_peer` set = targeted recv, checked against the
   /// recorded peer.
   std::optional<Stimulus> Next(std::optional<Rank> want_peer);
+  /// The shared body of both receives.
+  RecvResult Deliver(std::optional<Rank> want_peer, Duration timeout_us);
   void NoteDivergence(const std::string& note);
 
   Rank self_ = 0;

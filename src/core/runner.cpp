@@ -12,7 +12,6 @@
 #include <span>
 #include <thread>
 #include <tuple>
-#include <variant>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -1046,60 +1045,16 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
 
 namespace {
 
-/// Work items handed from a slave's comm module to its join module. The
-/// trace context of the carrying kTupleBatch frame rides along so the join
-/// thread can finish the master's batch_flow at the (deterministic) virtual
+/// One frame handed from a slave's comm module to its join module, queued
+/// exactly as received -- except a kTupleBatch, which the comm module
+/// decodes to answer its load report: it travels as its records, with its
+/// payload released. Its header's trace context rides along, so the join
+/// thread finishes the master's batch_flow at the (deterministic) virtual
 /// timestamp the batch is processed at, not at the racy receive instant.
-struct BatchWork {
-  std::vector<Rec> recs;
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
-  Time send_vt = 0;
+struct Inbound {
+  Message frame;          ///< a default frame (kShutdown) stands for closure
+  std::vector<Rec> recs;  ///< kTupleBatch only
 };
-struct ExtractWork {
-  PartitionId pid;
-  Rank consumer;
-  std::uint64_t seq;
-};
-/// kInstallCmd: the master announced that `supplier` will send this group.
-struct ExpectWork {
-  PartitionId pid;
-  Rank supplier;
-  std::uint64_t seq;
-};
-struct InstallWork {
-  StateTransferMsg state;
-};
-/// kCkptCmd: ship the listed groups' state to their buddies.
-struct CkptWork {
-  CkptCmdMsg cmd;
-};
-/// kCheckpoint: apply one replica segment (this slave is the buddy).
-struct CkptApplyWork {
-  CheckpointMsg msg;
-  std::uint64_t wire_bytes;
-};
-/// kFailoverCmd: rebuild the listed groups from replica segments.
-struct FailoverWork {
-  FailoverCmdMsg cmd;
-};
-/// kReplayBatch: reprocess one retained epoch's tuples.
-struct ReplayWork {
-  ReplayBatchMsg batch;
-};
-/// kJoinCmd: admitted as a member at `admit_epoch` (epoch-ordinal resync).
-struct JoinWork {
-  std::uint64_t admit_epoch;
-};
-/// kLeaveCmd: gracefully retired to standby after epoch `epoch`.
-struct LeaveWork {
-  std::uint64_t epoch;
-};
-struct StopWork {};
-using SlaveWork =
-    std::variant<BatchWork, ExtractWork, ExpectWork, InstallWork, CkptWork,
-                 CkptApplyWork, FailoverWork, ReplayWork, JoinWork, LeaveWork,
-                 StopWork>;
 
 }  // namespace
 
@@ -1143,8 +1098,9 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   obs::Counter& c_adopted = reg.GetCounter("slave_groups_adopted");
   obs::Counter& c_replayed = reg.GetCounter("slave_replayed_tuples");
   // Wall-clock stage histograms (kWall; see obs/profiler.h). codec_decode is
-  // observed from the comm thread, the checkpoint stages from the join
-  // thread -- HistogramMetric is internally locked.
+  // observed on both threads (batches on the comm thread, state transfers
+  // and checkpoint segments on the join thread), the checkpoint stages on
+  // the join thread -- HistogramMetric is internally locked.
   obs::HistogramMetric& wall_decode =
       obs::WallStage(reg, obs::kStageCodecDecode);
   obs::HistogramMetric& wall_ck_snap =
@@ -1172,131 +1128,71 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
       reg.GetGauge("replica_records", {}, obs::Stability::kVolatile);
 
   WallClock clock;
-  std::atomic<Time> clock_offset{0};  // master_time - local_time
+  Time clock_offset = 0;  // master_time - local_time (join thread only)
 
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<SlaveWork> queue;
+  std::deque<Inbound> queue;
   std::atomic<std::size_t> inbox_tuples{0};
 
-  auto push = [&](SlaveWork work) {
+  auto push = [&](Inbound in) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      queue.push_back(std::move(work));
+      queue.push_back(std::move(in));
     }
     cv.notify_one();
   };
 
   // --- comm module -----------------------------------------------------
+  // Answers what must not wait for the join -- a batch's load report, a
+  // join command's ack -- and queues every frame for the join module in
+  // arrival order. It stops after queueing kShutdown or a closure.
   std::thread comm([&] {
     SetLogRank(static_cast<std::int32_t>(self));
     std::uint64_t batches_seen = 0;
     while (true) {
-      auto msg = transport.Recv();
+      std::optional<Message> msg = transport.Recv();
       if (!msg.has_value()) {
-        push(StopWork{});
+        push(Inbound{});
         return;
       }
-      switch (msg->type) {
-        case MsgType::kClockSync: {
-          Reader r(msg->payload);
-          ClockSyncMsg cs = DecodeClockSync(r);
-          clock_offset.store(cs.master_now - clock.Now());
-          break;
-        }
-        case MsgType::kTupleBatch: {
-          Reader r(msg->payload);
-          TupleBatchMsg batch = [&] {
-            obs::ScopedTimer wall(&wall_decode);
-            return DecodeTupleBatch(r, tb);
-          }();
-          // Load report: buffer occupancy before this batch lands. `seq`
-          // names the batch it answers so the master can discard stale or
-          // duplicated reports.
-          LoadReportMsg report;
-          report.buffered_tuples = inbox_tuples.load();
-          report.avg_buffer_occupancy = std::min(
-              1.0, static_cast<double>(report.buffered_tuples * tb) /
-                       static_cast<double>(cfg.balance.slave_buffer_bytes));
-          report.seq = ++batches_seen;
-          Writer w;
-          Encode(w, report);
-          inbox_tuples.fetch_add(batch.recs.size());
-          // The frame's trace context travels with the work item: the join
-          // thread finishes the master's batch_flow at the deterministic
-          // virtual timestamp it processes the batch, not at receive time.
-          push(BatchWork{std::move(batch.recs), msg->trace_id,
-                         msg->parent_span, msg->send_vt});
-          transport.Send(0, Make(MsgType::kLoadReport, std::move(w)));
-          break;
-        }
-        case MsgType::kMoveCmd: {
-          Reader r(msg->payload);
-          MoveCmdMsg mc = DecodeMoveCmd(r);
-          push(ExtractWork{mc.partition_id, mc.peer, mc.move_seq});
-          break;
-        }
-        case MsgType::kInstallCmd: {
-          Reader r(msg->payload);
-          MoveCmdMsg mc = DecodeMoveCmd(r);
-          push(ExpectWork{mc.partition_id, mc.peer, mc.move_seq});
-          break;
-        }
-        case MsgType::kStateTransfer: {
-          Reader r(msg->payload);
+      Inbound in{std::move(*msg), {}};
+      const MsgType type = in.frame.type;
+      if (type == MsgType::kTupleBatch) {
+        {
+          Reader r(in.frame.payload);
           obs::ScopedTimer wall(&wall_decode);
-          push(InstallWork{DecodeStateTransfer(r, tb)});
-          break;
+          in.recs = DecodeTupleBatch(r, tb).recs;
         }
-        case MsgType::kCkptCmd: {
-          Reader r(msg->payload);
-          push(CkptWork{DecodeCkptCmd(r)});
-          break;
-        }
-        case MsgType::kCheckpoint: {
-          Reader r(msg->payload);
-          const std::uint64_t bytes = msg->payload.size();
-          obs::ScopedTimer wall(&wall_decode);
-          push(CkptApplyWork{DecodeCheckpoint(r, tb), bytes});
-          break;
-        }
-        case MsgType::kFailoverCmd: {
-          Reader r(msg->payload);
-          push(FailoverWork{DecodeFailoverCmd(r)});
-          break;
-        }
-        case MsgType::kReplayBatch: {
-          Reader r(msg->payload);
-          push(ReplayWork{DecodeReplayBatch(r, tb)});
-          break;
-        }
-        case MsgType::kJoinCmd: {
-          Reader r(msg->payload);
-          const JoinCmdMsg jc = DecodeJoinCmd(r);
-          // Ack immediately from the comm module (the admission handshake
-          // is latency-bound, like load reports); the epoch resync rides
-          // the FIFO work queue, so it lands before any admitted-epoch
-          // work. A duplicated command (handshake resend) re-acks; the
-          // duplicate JoinWork re-writes the same ordinal harmlessly.
-          Writer w;
-          Encode(w, JoinAckMsg{jc.admit_epoch});
-          transport.Send(0, Make(MsgType::kJoinAck, std::move(w)));
-          push(JoinWork{jc.admit_epoch});
-          break;
-        }
-        case MsgType::kLeaveCmd: {
-          // The farewell ack must order after every queued extract and
-          // checkpoint, so it is sent by the join thread, not from here.
-          Reader r(msg->payload);
-          push(LeaveWork{DecodeLeaveCmd(r).epoch});
-          break;
-        }
-        case MsgType::kShutdown:
-          push(StopWork{});
-          return;
-        default:
-          break;
+        in.frame.payload = std::vector<std::uint8_t>();
+        // Load report: buffer occupancy before this batch lands. `seq`
+        // names the batch it answers so the master can discard stale or
+        // duplicated reports.
+        LoadReportMsg report;
+        report.buffered_tuples = inbox_tuples.load();
+        report.avg_buffer_occupancy = std::min(
+            1.0, static_cast<double>(report.buffered_tuples * tb) /
+                     static_cast<double>(cfg.balance.slave_buffer_bytes));
+        report.seq = ++batches_seen;
+        Writer w;
+        Encode(w, report);
+        inbox_tuples.fetch_add(in.recs.size());
+        push(std::move(in));
+        transport.Send(0, Make(MsgType::kLoadReport, std::move(w)));
+        continue;
       }
+      if (type == MsgType::kJoinCmd) {
+        // Ack at once (the admission handshake is latency-bound, like load
+        // reports); the command itself rides the FIFO queue, so the epoch
+        // resync lands before any admitted-epoch work. A duplicated command
+        // (handshake resend) re-acks and re-writes the same ordinal.
+        Reader r(in.frame.payload);
+        Writer w;
+        Encode(w, JoinAckMsg{DecodeJoinCmd(r).admit_epoch});
+        transport.Send(0, Make(MsgType::kJoinAck, std::move(w)));
+      }
+      push(std::move(in));
+      if (type == MsgType::kShutdown) return;
     }
   });
 
@@ -1355,7 +1251,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   double reported_delay_sum = 0.0;
 
   // Replication state. `epochs_done` counts fully processed kTupleBatch
-  // work items; the master sends one batch per epoch to every live slave,
+  // frames; the master sends one batch per epoch to every live slave,
   // so it equals the global epoch ordinal of the last covered batch --
   // checkpoints are stamped with it. `last_ckpt` is the per-group covered
   // epoch of the last shipped segment (incremental deltas continue it);
@@ -1400,7 +1296,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
   // the master-global move_seq. `completed` absorbs duplicated transfers;
   // `stash` holds transfers that overtook their install command.
   std::set<std::uint64_t> completed;
-  std::map<std::uint64_t, ExpectWork> expected;
+  std::set<std::uint64_t> expected;
   std::map<std::uint64_t, StateTransferMsg> stash;
   constexpr std::size_t kMaxStash = 64;
 
@@ -1408,7 +1304,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
     Reader gr(st.group_state);
     join.InstallGroup(st.partition_id, DecodeGroupState(gr, cfg.join, tb));
     join.EnqueueBatch(st.pending);
-    join.ProcessFor(clock.Now() + clock_offset.load(), kDrainBudget);
+    join.ProcessFor(clock.Now() + clock_offset, kDrainBudget);
     completed.insert(st.move_seq);
     Writer wa;
     Encode(wa, AckMsg{st.partition_id, st.move_seq});
@@ -1426,282 +1322,327 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
 
   bool running = true;
   while (running) {
-    SlaveWork work = [&] {
+    Inbound in = [&] {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return !queue.empty(); });
-      SlaveWork w = std::move(queue.front());
+      Inbound next = std::move(queue.front());
       queue.pop_front();
       g_queue.Set(static_cast<double>(queue.size()));
-      return w;
+      return next;
     }();
     g_inbox.Set(static_cast<double>(inbox_tuples.load()));
 
-    const Time master_now = clock.Now() + clock_offset.load();
-    if (auto* batch = std::get_if<BatchWork>(&work)) {
-      if (spin > 0 && !batch->recs.empty()) {
-        // Emulated background/processing load of a non-dedicated node.
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            spin * static_cast<Duration>(batch->recs.size())));
-      }
-      ++epochs_done;
-      SetLogVt(static_cast<Time>(epochs_done) * cfg.epoch.t_dist);
-      if (tag != nullptr) tag->SetEpoch(epochs_done);
-      delay_sink.SetLogicalNow(static_cast<Time>(epochs_done) *
-                               cfg.epoch.t_dist);
-      join.EnqueueBatch(batch->recs);
-      const std::uint64_t before = join.TuplesProcessed();
-      const std::uint64_t out_before = sink.Outputs();
-      join.ProcessFor(clock.Now() + clock_offset.load(), kDrainBudget);
-      const std::uint64_t done = join.TuplesProcessed() - before;
-      sum.tuples_processed += done;
-      c_processed.Add(done);
-      sync_join_counters();
-      inbox_tuples.fetch_sub(std::min<std::size_t>(
-          static_cast<std::size_t>(done), inbox_tuples.load()));
-      g_window_storage.Set(static_cast<double>(join.Store().StorageBytes()));
-      flush_stats();
-      // Epoch boundary on this slave's logical timeline: snapshot the
-      // recorder and ship the stable families to the master as kMetrics.
-      const Time vts =
-          static_cast<Time>(epochs_done) * cfg.epoch.t_dist;
-      g_watermark.Set(static_cast<double>(vts));
-      // Close the master's batch_flow at this batch's logical processing
-      // instant (vts >= send_vt by construction: the batch was sent at the
-      // epoch's start). Locally crafted batches (tests) carry no context.
-      if (batch->trace_id != 0) {
-        ob.trace.FlowFinish(
-            "batch_flow", "flow", vts, batch->parent_span,
-            {{"send_vt", static_cast<std::int64_t>(batch->send_vt)},
-             {"epoch", static_cast<std::int64_t>(epochs_done)}});
-      }
-      ob.flight.Record(vts, "join_batch",
-                       "epoch=" + std::to_string(epochs_done) +
-                           " tuples=" + std::to_string(done));
-      ob.trace.Complete(
-          "join_batch", "join", vts, 0,
-          {{"epoch", static_cast<std::int64_t>(epochs_done)},
-           {"tuples", static_cast<std::int64_t>(done)},
-           {"outputs",
-            static_cast<std::int64_t>(sink.Outputs() - out_before)}});
-      ob.recorder.Snapshot(static_cast<std::int64_t>(epochs_done), vts, reg);
-      MetricsMsg mm;
-      mm.epoch = epochs_done;
-      mm.samples = obs::CollectSamples(reg, /*include_volatile=*/false);
-      // Live per-stage wall quantiles ride along as synthetic samples; the
-      // cluster view is never byte-compared across runs, so wall data is
-      // safe there (unlike the recorder/trace exports).
-      obs::AppendWallStageSamples(reg, &mm.samples);
-      Writer mw;
-      Encode(mw, mm);
-      transport.Send(0, Make(MsgType::kMetrics, std::move(mw)));
-    } else if (auto* ex = std::get_if<ExtractWork>(&work)) {
-      if (join.Store().Find(ex->pid) == nullptr) {
-        // Nothing owned yet (e.g. moved before any tuple arrived): ship an
-        // empty group so the protocol still completes.
-        join.InstallGroup(ex->pid,
-                          std::make_unique<PartitionGroup>(cfg.join, tb));
-      }
-      Duration cost = 0;
-      std::vector<Rec> pending;
-      auto group = join.ExtractGroup(ex->pid, master_now, cost, pending);
-      Writer gw;
-      EncodeGroupState(gw, *group);
-      StateTransferMsg st;
-      st.partition_id = ex->pid;
-      st.group_state = std::move(gw).TakeBuffer();
-      st.pending = std::move(pending);
-      st.move_seq = ex->seq;
-      Writer w;
-      Encode(w, st, tb);
-      transport.Send(ex->consumer, Make(MsgType::kStateTransfer, std::move(w)));
-      Writer wa;
-      Encode(wa, AckMsg{ex->pid, ex->seq});
-      transport.Send(0, Make(MsgType::kAck, std::move(wa)));
-      ++sum.groups_moved_out;
-      c_moved_out.Inc();
-      ob.trace.Instant("group_extract", "reorg",
-                       static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                       {{"pid", static_cast<std::int64_t>(ex->pid)},
-                        {"seq", static_cast<std::int64_t>(ex->seq)}});
-    } else if (auto* exp = std::get_if<ExpectWork>(&work)) {
-      if (completed.count(exp->seq) != 0) {
-        // Already installed (transfer and command both seen); stale copy.
-      } else if (auto it = stash.find(exp->seq); it != stash.end()) {
-        StateTransferMsg st = std::move(it->second);
-        stash.erase(it);
-        install(st);
-      } else {
-        expected.emplace(exp->seq, *exp);
-      }
-    } else if (auto* in = std::get_if<InstallWork>(&work)) {
-      StateTransferMsg& st = in->state;
-      if (completed.count(st.move_seq) != 0) {
-        // Duplicated kStateTransfer: the group is installed; drop it.
-      } else if (expected.count(st.move_seq) != 0) {
-        expected.erase(st.move_seq);
-        install(st);
-      } else {
-        // The transfer overtook its kInstallCmd (different channels); hold
-        // it until the command arrives. The stash is bounded -- overflow
-        // discards the oldest move, which then resolves as a crash would.
-        if (stash.size() >= kMaxStash) stash.erase(stash.begin());
-        stash.emplace(st.move_seq, std::move(st));
-      }
-    } else if (auto* ck = std::get_if<CkptWork>(&work)) {
-      // Owner side of a checkpoint sweep. Every batch received before the
-      // command has been fully processed (the work queue is FIFO and each
-      // batch drains completely), so the shipped state covers exactly
-      // `epochs_done` epochs -- the segment is stamped with that, not with
-      // the master's covered_epoch, so a late command never overstates
-      // coverage. A group this slave no longer (or never) holds is skipped
-      // without an ack: the master's retention for it stays put.
-      for (const CkptCmdMsg::Entry& e : ck->cmd.entries) {
-        PartitionGroup* g = join.Store().Find(e.partition_id);
-        if (g == nullptr) continue;
-        auto lc = last_ckpt.find(e.partition_id);
-        // First contact with this group (or post-migration): a delta has no
-        // base to extend -- upgrade to a full snapshot.
-        const bool full = e.full || lc == last_ckpt.end();
-        if (!full && lc->second >= epochs_done) continue;  // nothing new
-        CheckpointMsg m;
-        m.partition_id = e.partition_id;
-        m.full = full;
-        m.from_epoch = full ? 0 : lc->second;
-        m.to_epoch = epochs_done;
-        if (full) {
-          obs::ScopedTimer wall(&wall_ck_snap);
-          (void)join.TakeJournal(e.partition_id);  // superseded by snapshot
-          m.recs = CollectGroupRecords(*g);
-        } else {
-          obs::ScopedTimer wall(&wall_ck_journal);
-          m.recs = join.TakeJournal(e.partition_id);
+    const Message& frame = in.frame;
+    Reader r(frame.payload);
+    const Time master_now = clock.Now() + clock_offset;
+    switch (frame.type) {
+      case MsgType::kClockSync:
+        clock_offset = DecodeClockSync(r).master_now - clock.Now();
+        break;
+      case MsgType::kTupleBatch: {
+        if (spin > 0 && !in.recs.empty()) {
+          // Emulated background/processing load of a non-dedicated node.
+          std::this_thread::sleep_for(std::chrono::microseconds(
+              spin * static_cast<Duration>(in.recs.size())));
         }
-        Time max_seen = 0;
-        g->ForEachMiniGroup([&](const MiniGroup& mg) {
-          max_seen = std::max(max_seen, mg.MaxSeenTs());
-        });
-        m.expire_before = max_seen - wall_cfg.join.window;
-        m.committed_epoch = e.committed_epoch;
-        last_ckpt[e.partition_id] = epochs_done;
+        ++epochs_done;
+        SetLogVt(static_cast<Time>(epochs_done) * cfg.epoch.t_dist);
+        if (tag != nullptr) tag->SetEpoch(epochs_done);
+        delay_sink.SetLogicalNow(static_cast<Time>(epochs_done) *
+                                 cfg.epoch.t_dist);
+        join.EnqueueBatch(in.recs);
+        const std::uint64_t before = join.TuplesProcessed();
+        const std::uint64_t out_before = sink.Outputs();
+        join.ProcessFor(clock.Now() + clock_offset, kDrainBudget);
+        const std::uint64_t done = join.TuplesProcessed() - before;
+        sum.tuples_processed += done;
+        c_processed.Add(done);
+        sync_join_counters();
+        inbox_tuples.fetch_sub(std::min<std::size_t>(
+            static_cast<std::size_t>(done), inbox_tuples.load()));
+        g_window_storage.Set(static_cast<double>(join.Store().StorageBytes()));
+        flush_stats();
+        // Epoch boundary on this slave's logical timeline: snapshot the
+        // recorder and ship the stable families to the master as kMetrics.
+        const Time vts = static_cast<Time>(epochs_done) * cfg.epoch.t_dist;
+        g_watermark.Set(static_cast<double>(vts));
+        // Close the master's batch_flow at this batch's logical processing
+        // instant (vts >= send_vt by construction: the batch was sent at the
+        // epoch's start). Locally crafted batches (tests) carry no context.
+        if (frame.trace_id != 0) {
+          ob.trace.FlowFinish(
+              "batch_flow", "flow", vts, frame.parent_span,
+              {{"send_vt", static_cast<std::int64_t>(frame.send_vt)},
+               {"epoch", static_cast<std::int64_t>(epochs_done)}});
+        }
+        ob.flight.Record(vts, "join_batch",
+                         "epoch=" + std::to_string(epochs_done) +
+                             " tuples=" + std::to_string(done));
+        ob.trace.Complete(
+            "join_batch", "join", vts, 0,
+            {{"epoch", static_cast<std::int64_t>(epochs_done)},
+             {"tuples", static_cast<std::int64_t>(done)},
+             {"outputs",
+              static_cast<std::int64_t>(sink.Outputs() - out_before)}});
+        ob.recorder.Snapshot(static_cast<std::int64_t>(epochs_done), vts, reg);
+        MetricsMsg mm;
+        mm.epoch = epochs_done;
+        mm.samples = obs::CollectSamples(reg, /*include_volatile=*/false);
+        // Live per-stage wall quantiles ride along as synthetic samples; the
+        // cluster view is never byte-compared across runs, so wall data is
+        // safe there (unlike the recorder/trace exports).
+        obs::AppendWallStageSamples(reg, &mm.samples);
+        Writer mw;
+        Encode(mw, mm);
+        transport.Send(0, Make(MsgType::kMetrics, std::move(mw)));
+        break;
+      }
+      case MsgType::kMoveCmd: {
+        const MoveCmdMsg mc = DecodeMoveCmd(r);
+        if (join.Store().Find(mc.partition_id) == nullptr) {
+          // Nothing owned yet (e.g. moved before any tuple arrived): ship an
+          // empty group so the protocol still completes.
+          join.InstallGroup(mc.partition_id,
+                            std::make_unique<PartitionGroup>(cfg.join, tb));
+        }
+        Duration cost = 0;
+        std::vector<Rec> pending;
+        auto group =
+            join.ExtractGroup(mc.partition_id, master_now, cost, pending);
+        Writer gw;
+        EncodeGroupState(gw, *group);
+        StateTransferMsg st;
+        st.partition_id = mc.partition_id;
+        st.group_state = std::move(gw).TakeBuffer();
+        st.pending = std::move(pending);
+        st.move_seq = mc.move_seq;
         Writer w;
-        Encode(w, m, tb);
-        Message msg = Make(MsgType::kCheckpoint, std::move(w));
-        ++sum.ckpt_segments_sent;
-        sum.ckpt_bytes_sent += msg.payload.size();
-        c_ck_sent.Inc();
-        c_ck_bytes.Add(msg.payload.size());
-        ob.trace.Instant("ckpt_segment", "repl",
+        Encode(w, st, tb);
+        transport.Send(mc.peer, Make(MsgType::kStateTransfer, std::move(w)));
+        Writer wa;
+        Encode(wa, AckMsg{mc.partition_id, mc.move_seq});
+        transport.Send(0, Make(MsgType::kAck, std::move(wa)));
+        ++sum.groups_moved_out;
+        c_moved_out.Inc();
+        ob.trace.Instant("group_extract", "reorg",
                          static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                         {{"pid", static_cast<std::int64_t>(e.partition_id)},
-                          {"to_epoch", static_cast<std::int64_t>(epochs_done)},
-                          {"full", full ? 1 : 0}});
-        transport.Send(e.buddy, std::move(msg));
+                         {{"pid", static_cast<std::int64_t>(mc.partition_id)},
+                          {"seq", static_cast<std::int64_t>(mc.move_seq)}});
+        break;
       }
-    } else if (auto* ca = std::get_if<CkptApplyWork>(&work)) {
-      // Buddy side: apply the segment atomically (it either is in the chain
-      // or it is not -- a crash between segments never tears one); the
-      // chain dedups on the covered epoch and prunes below the committed
-      // one (core/replica_chain.h).
-      CheckpointMsg& m = ca->msg;
-      if (replica[m.partition_id].Apply(
-              {m.from_epoch, m.to_epoch, m.full, m.expire_before,
-               std::move(m.recs)},
-              m.committed_epoch)) {
-        ++sum.ckpt_segments_applied;
-        c_ck_applied.Inc();
+      case MsgType::kInstallCmd: {
+        // The master announced that the peer will send this group.
+        const std::uint64_t seq = DecodeMoveCmd(r).move_seq;
+        if (completed.count(seq) != 0) {
+          // Already installed (transfer and command both seen); stale copy.
+        } else if (auto it = stash.find(seq); it != stash.end()) {
+          StateTransferMsg st = std::move(it->second);
+          stash.erase(it);
+          install(st);
+        } else {
+          expected.insert(seq);
+        }
+        break;
+      }
+      case MsgType::kStateTransfer: {
+        StateTransferMsg st = [&] {
+          obs::ScopedTimer wall(&wall_decode);
+          return DecodeStateTransfer(r, tb);
+        }();
+        if (completed.count(st.move_seq) != 0) {
+          // Duplicated kStateTransfer: the group is installed; drop it.
+        } else if (expected.erase(st.move_seq) != 0) {
+          install(st);
+        } else {
+          // The transfer overtook its kInstallCmd (different channels); hold
+          // it until the command arrives. The stash is bounded -- overflow
+          // discards the oldest move, which then resolves as a crash would.
+          if (stash.size() >= kMaxStash) stash.erase(stash.begin());
+          stash.emplace(st.move_seq, std::move(st));
+        }
+        break;
+      }
+      case MsgType::kCkptCmd: {
+        // Owner side of a checkpoint sweep. Every batch received before the
+        // command has been fully processed (the queue is FIFO and each batch
+        // drains completely), so the shipped state covers exactly
+        // `epochs_done` epochs -- the segment is stamped with that, not with
+        // the master's covered_epoch, so a late command never overstates
+        // coverage. A group this slave no longer (or never) holds is skipped
+        // without an ack: the master's retention for it stays put.
+        for (const CkptCmdMsg::Entry& e : DecodeCkptCmd(r).entries) {
+          PartitionGroup* g = join.Store().Find(e.partition_id);
+          if (g == nullptr) continue;
+          auto lc = last_ckpt.find(e.partition_id);
+          // First contact with this group (or post-migration): a delta has
+          // no base to extend -- upgrade to a full snapshot.
+          const bool full = e.full || lc == last_ckpt.end();
+          if (!full && lc->second >= epochs_done) continue;  // nothing new
+          CheckpointMsg m;
+          m.partition_id = e.partition_id;
+          m.full = full;
+          m.from_epoch = full ? 0 : lc->second;
+          m.to_epoch = epochs_done;
+          if (full) {
+            obs::ScopedTimer wall(&wall_ck_snap);
+            (void)join.TakeJournal(e.partition_id);  // superseded by snapshot
+            m.recs = CollectGroupRecords(*g);
+          } else {
+            obs::ScopedTimer wall(&wall_ck_journal);
+            m.recs = join.TakeJournal(e.partition_id);
+          }
+          Time max_seen = 0;
+          g->ForEachMiniGroup([&](const MiniGroup& mg) {
+            max_seen = std::max(max_seen, mg.MaxSeenTs());
+          });
+          m.expire_before = max_seen - wall_cfg.join.window;
+          m.committed_epoch = e.committed_epoch;
+          last_ckpt[e.partition_id] = epochs_done;
+          Writer w;
+          Encode(w, m, tb);
+          Message msg = Make(MsgType::kCheckpoint, std::move(w));
+          ++sum.ckpt_segments_sent;
+          sum.ckpt_bytes_sent += msg.payload.size();
+          c_ck_sent.Inc();
+          c_ck_bytes.Add(msg.payload.size());
+          ob.trace.Instant(
+              "ckpt_segment", "repl",
+              static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+              {{"pid", static_cast<std::int64_t>(e.partition_id)},
+               {"to_epoch", static_cast<std::int64_t>(epochs_done)},
+               {"full", full ? 1 : 0}});
+          transport.Send(e.buddy, std::move(msg));
+        }
+        break;
+      }
+      case MsgType::kCheckpoint: {
+        // Buddy side: apply the segment atomically (it either is in the
+        // chain or it is not -- a crash between segments never tears one);
+        // the chain dedups on the covered epoch and prunes below the
+        // committed one (core/replica_chain.h).
+        CheckpointMsg m = [&] {
+          obs::ScopedTimer wall(&wall_decode);
+          return DecodeCheckpoint(r, tb);
+        }();
+        if (replica[m.partition_id].Apply(
+                {m.from_epoch, m.to_epoch, m.full, m.expire_before,
+                 std::move(m.recs)},
+                m.committed_epoch)) {
+          ++sum.ckpt_segments_applied;
+          c_ck_applied.Inc();
+          set_replica_gauge();
+          ob.trace.Instant(
+              "ckpt_apply", "repl",
+              static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+              {{"pid", static_cast<std::int64_t>(m.partition_id)},
+               {"to_epoch", static_cast<std::int64_t>(m.to_epoch)}});
+        }
+        Writer w;
+        Encode(w, CheckpointAckMsg{m.partition_id, m.to_epoch,
+                                   frame.payload.size()});
+        transport.Send(0, Make(MsgType::kCheckpointAck, std::move(w)));
+        break;
+      }
+      case MsgType::kFailoverCmd: {
+        // Adopt a dead slave's groups: rebuild each from the replica chain
+        // strictly below replay_from (unacknowledged segments are discarded
+        // -- the replay regenerates their epochs), pruning records the
+        // expiry watermark proves can never match a replayed or future
+        // probe.
+        for (const FailoverCmdMsg::Entry& e : DecodeFailoverCmd(r).entries) {
+          std::vector<Rec> recs;
+          if (auto node = replica.extract(e.partition_id)) {
+            sum.adopted_segments_pruned += node.mapped().Pruned();
+            recs = node.mapped().Rebuild(e.replay_from);
+          }
+          if (!recs.empty()) {
+            join.InstallGroup(
+                e.partition_id,
+                BuildGroupFromRecords(std::move(recs), wall_cfg.join, tb));
+          }
+          ++sum.groups_adopted;
+          c_adopted.Inc();
+          ob.trace.Instant(
+              "group_adopt", "repl",
+              static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+              {{"pid", static_cast<std::int64_t>(e.partition_id)},
+               {"replay_from", static_cast<std::int64_t>(e.replay_from)}});
+          ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+                           "group_adopt",
+                           "pid=" + std::to_string(e.partition_id) +
+                               " replay_from=" +
+                               std::to_string(e.replay_from));
+        }
         set_replica_gauge();
-        ob.trace.Instant(
-            "ckpt_apply", "repl",
-            static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-            {{"pid", static_cast<std::int64_t>(m.partition_id)},
-             {"to_epoch", static_cast<std::int64_t>(m.to_epoch)}});
+        break;
       }
-      Writer w;
-      Encode(w, CheckpointAckMsg{m.partition_id, m.to_epoch, ca->wire_bytes});
-      transport.Send(0, Make(MsgType::kCheckpointAck, std::move(w)));
-    } else if (auto* fo = std::get_if<FailoverWork>(&work)) {
-      // Adopt a dead slave's groups: rebuild each from the replica chain
-      // strictly below replay_from (unacknowledged segments are discarded
-      // -- the replay regenerates their epochs), pruning records the expiry
-      // watermark proves can never match a replayed or future probe.
-      for (const FailoverCmdMsg::Entry& e : fo->cmd.entries) {
-        std::vector<Rec> recs;
-        if (auto node = replica.extract(e.partition_id)) {
-          sum.adopted_segments_pruned += node.mapped().Pruned();
-          recs = node.mapped().Rebuild(e.replay_from);
-        }
-        if (!recs.empty()) {
-          join.InstallGroup(
-              e.partition_id,
-              BuildGroupFromRecords(std::move(recs), wall_cfg.join, tb));
-        }
-        ++sum.groups_adopted;
-        c_adopted.Inc();
+      case MsgType::kReplayBatch: {
+        // Redelivered retained epoch: joined exactly like a tuple batch, but
+        // tagged with its original epoch (the voiding rule keys on it) and
+        // answering no load report.
+        const ReplayBatchMsg rb = DecodeReplayBatch(r, tb);
+        if (tag != nullptr) tag->SetEpoch(rb.epoch);
+        join.EnqueueBatch(rb.recs);
+        join.ProcessFor(master_now, kDrainBudget);
+        sum.replayed_tuples += rb.recs.size();
+        c_replayed.Add(rb.recs.size());
+        sync_join_counters();
         ob.trace.Instant(
-            "group_adopt", "repl",
+            "replay_processed", "join",
             static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-            {{"pid", static_cast<std::int64_t>(e.partition_id)},
-             {"replay_from", static_cast<std::int64_t>(e.replay_from)}});
+            {{"epoch", static_cast<std::int64_t>(rb.epoch)},
+             {"tuples", static_cast<std::int64_t>(rb.recs.size())}});
         ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                         "group_adopt",
-                         "pid=" + std::to_string(e.partition_id) +
-                             " replay_from=" + std::to_string(e.replay_from));
+                         "replay_processed",
+                         "epoch=" + std::to_string(rb.epoch) + " tuples=" +
+                             std::to_string(rb.recs.size()));
+        flush_stats();
+        break;
       }
-      set_replica_gauge();
-    } else if (auto* rp = std::get_if<ReplayWork>(&work)) {
-      // Redelivered retained epoch: joined exactly like a tuple batch, but
-      // tagged with its original epoch (the voiding rule keys on it) and
-      // answering no load report.
-      if (tag != nullptr) tag->SetEpoch(rp->batch.epoch);
-      join.EnqueueBatch(rp->batch.recs);
-      join.ProcessFor(master_now, kDrainBudget);
-      sum.replayed_tuples += rp->batch.recs.size();
-      c_replayed.Add(rp->batch.recs.size());
-      sync_join_counters();
-      ob.trace.Instant(
-          "replay_processed", "join",
-          static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-          {{"epoch", static_cast<std::int64_t>(rp->batch.epoch)},
-           {"tuples", static_cast<std::int64_t>(rp->batch.recs.size())}});
-      ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                       "replay_processed",
-                       "epoch=" + std::to_string(rp->batch.epoch) + " tuples=" +
-                           std::to_string(rp->batch.recs.size()));
-      flush_stats();
-    } else if (auto* jn = std::get_if<JoinWork>(&work)) {
-      // Admission: resync the epoch ordinal so the first admitted batch
-      // lands at exactly admit_epoch -- checkpoint stamps and logical
-      // trace timestamps stay a *global* epoch count across the
-      // membership change (the master skipped this rank while standby).
-      epochs_done = jn->admit_epoch > 0 ? jn->admit_epoch - 1 : 0;
-      SetLogVt(static_cast<Time>(epochs_done) * cfg.epoch.t_dist);
-      ob.trace.Instant(
-          "member_admit", "membership",
-          static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-          {{"admit_epoch", static_cast<std::int64_t>(jn->admit_epoch)}});
-      ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                       "member_admit",
-                       "admit_epoch=" + std::to_string(jn->admit_epoch));
-    } else if (auto* lv = std::get_if<LeaveWork>(&work)) {
-      // Graceful retirement: every batch, extract, and handover checkpoint
-      // the master issued before the farewell has drained (FIFO), so the
-      // store owns no groups and the replica chains this node held are
-      // obsolete -- drop them and return to standby. The ack travels after
-      // everything this node still owed the cluster.
-      replica.clear();
-      set_replica_gauge();
-      last_ckpt.clear();
-      ob.trace.Instant("member_retire", "membership",
-                       static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                       {{"epoch", static_cast<std::int64_t>(lv->epoch)}});
-      ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                       "member_retire", "epoch=" + std::to_string(lv->epoch));
-      Writer w;
-      Encode(w, LeaveAckMsg{lv->epoch});
-      transport.Send(0, Make(MsgType::kLeaveAck, std::move(w)));
-      flush_stats();
-    } else {
-      running = false;
+      case MsgType::kJoinCmd: {
+        // Admission (acked by the comm module): resync the epoch ordinal so
+        // the first admitted batch lands at exactly admit_epoch --
+        // checkpoint stamps and logical trace timestamps stay a *global*
+        // epoch count across the membership change (the master skipped
+        // this rank while standby).
+        const std::uint64_t admit_epoch = DecodeJoinCmd(r).admit_epoch;
+        epochs_done = admit_epoch > 0 ? admit_epoch - 1 : 0;
+        SetLogVt(static_cast<Time>(epochs_done) * cfg.epoch.t_dist);
+        ob.trace.Instant(
+            "member_admit", "membership",
+            static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+            {{"admit_epoch", static_cast<std::int64_t>(admit_epoch)}});
+        ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+                         "member_admit",
+                         "admit_epoch=" + std::to_string(admit_epoch));
+        break;
+      }
+      case MsgType::kLeaveCmd: {
+        // Graceful retirement: every batch, extract, and handover checkpoint
+        // the master issued before the farewell has drained (FIFO), so the
+        // store owns no groups and the replica chains this node held are
+        // obsolete -- drop them and return to standby. The ack travels after
+        // everything this node still owed the cluster.
+        const std::uint64_t epoch = DecodeLeaveCmd(r).epoch;
+        replica.clear();
+        set_replica_gauge();
+        last_ckpt.clear();
+        ob.trace.Instant("member_retire", "membership",
+                         static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+                         {{"epoch", static_cast<std::int64_t>(epoch)}});
+        ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
+                         "member_retire", "epoch=" + std::to_string(epoch));
+        Writer w;
+        Encode(w, LeaveAckMsg{epoch});
+        transport.Send(0, Make(MsgType::kLeaveAck, std::move(w)));
+        flush_stats();
+        break;
+      }
+      case MsgType::kShutdown:
+        running = false;
+        break;
+      default:
+        break;
     }
   }
 

@@ -58,11 +58,18 @@
 // crash. A group is never migrated to its own buddy (the replica would
 // collide with the live state).
 //
-// Each slave runs the paper's two software components as two threads: the
-// comm module (blocking Recv, immediate load replies, inbox append) and the
-// join module (drains the inbox through JoinModule). Clock sync: the master
-// opens each connection with kClockSync; slaves convert local time to
-// master time with the learned offset so production delays are comparable.
+// Each slave runs the paper's two software components as two threads. The
+// comm module blocks in Recv and does only what must not wait for the
+// join: it decodes each kTupleBatch and answers its kLoadReport at once (so
+// the decode overlaps the join), acks a kJoinCmd, and stops after
+// kShutdown or a closure. Every frame, those included, passes to the join
+// module through one FIFO queue exactly as received; a batch passes as its
+// decoded records. The join module decodes every other frame where it
+// handles it, one case per message type, in arrival order, so the sends
+// that replay verification compares keep their order. Clock sync: the
+// master opens each connection with kClockSync; the join module converts
+// local time to master time with the learned offset so production delays
+// are comparable.
 #pragma once
 
 #include <cstdint>

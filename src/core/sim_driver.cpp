@@ -43,6 +43,9 @@ SimDriver::SimDriver(const SystemConfig& cfg, SimOptions opts)
   assert(cfg.num_slaves >= 1);
   assert(cfg.ActiveSlavesAtStart() <= cfg.num_slaves);
   assert(cfg.epoch.num_subgroups >= 1);
+  // A tuned run starts at the tuner's epoch, which is clamped to its range,
+  // not at a t_d outside it until the first decision.
+  if (cfg.epoch_tuner.enabled) td_ = tuner_.CurrentEpoch();
   slaves_.resize(cfg.num_slaves);
   for (std::uint32_t i = 0; i < cfg.num_slaves; ++i) {
     Slave& s = slaves_[i];

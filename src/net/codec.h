@@ -239,7 +239,7 @@ void Encode(Writer& w, const LeaveCmdMsg& m);
 LeaveCmdMsg DecodeLeaveCmd(Reader& r);
 
 /// member -> master: farewell acknowledged (sent by the join thread, so it
-/// orders after every previously queued extract/checkpoint work item).
+/// orders after every previously queued move and checkpoint command).
 struct LeaveAckMsg {
   std::uint64_t epoch = 0;
 };

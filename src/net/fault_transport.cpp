@@ -209,18 +209,6 @@ void FaultEndpoint::Send(Rank to, Message msg) {
   inner_->Send(to, std::move(msg));
 }
 
-std::optional<Message> FaultEndpoint::Recv() {
-  RecvResult res = Pump(/*any=*/true, 0, -1);
-  if (!res.Ok()) return std::nullopt;
-  return std::move(res.msg);
-}
-
-std::optional<Message> FaultEndpoint::RecvFrom(Rank from) {
-  RecvResult res = Pump(/*any=*/false, from, -1);
-  if (!res.Ok()) return std::nullopt;
-  return std::move(res.msg);
-}
-
 RecvResult FaultEndpoint::RecvTimed(Duration timeout_us) {
   return Pump(/*any=*/true, 0, timeout_us);
 }

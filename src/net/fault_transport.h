@@ -104,8 +104,6 @@ class FaultEndpoint final : public Transport {
 
   Rank Self() const override { return inner_->Self(); }
   void Send(Rank to, Message msg) override;
-  std::optional<Message> Recv() override;
-  std::optional<Message> RecvFrom(Rank from) override;
   RecvResult RecvTimed(Duration timeout_us) override;
   RecvResult RecvFromTimed(Rank from, Duration timeout_us) override;
 
@@ -148,8 +146,8 @@ class FaultEndpoint final : public Transport {
   /// Earliest pending release, or -1 when nothing is held.
   Duration NextReleaseDelay() const;
 
-  /// Shared implementation of the four receive variants. `timeout_us < 0`
-  /// waits forever; `any` ignores `from`.
+  /// Shared implementation of both timed receives. `timeout_us < 0` waits
+  /// forever; `any` ignores `from`.
   RecvResult Pump(bool any, Rank from, Duration timeout_us);
 
   /// Pops the first ready_ message matching the (any, from) filter, doing

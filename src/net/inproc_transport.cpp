@@ -37,16 +37,6 @@ void InProcHub::Push(Rank to, Message msg) {
   box.cv.notify_one();
 }
 
-std::optional<Message> InProcHub::Pop(Rank self) {
-  Mailbox& box = *boxes_[self];
-  std::unique_lock<std::mutex> lock(box.mu);
-  box.cv.wait(lock, [&] { return !box.queue.empty() || Down(); });
-  if (box.queue.empty()) return std::nullopt;  // shutdown
-  Message msg = std::move(box.queue.front());
-  box.queue.pop_front();
-  return msg;
-}
-
 RecvResult InProcHub::PopTimed(Rank self, Duration timeout_us) {
   Mailbox& box = *boxes_[self];
   std::unique_lock<std::mutex> lock(box.mu);
@@ -74,38 +64,6 @@ void InProcEndpoint::Send(Rank to, Message msg) {
   msg.from = self_;
   instr_.OnSend(to, msg);
   hub_->Push(to, std::move(msg));
-}
-
-std::optional<Message> InProcEndpoint::Recv() {
-  if (!stash_.empty()) {
-    Message msg = std::move(stash_.front());
-    stash_.pop_front();
-    instr_.OnRecv(msg.from, msg);
-    return msg;
-  }
-  std::optional<Message> msg = hub_->Pop(self_);
-  if (msg.has_value()) instr_.OnRecv(msg->from, *msg);
-  return msg;
-}
-
-std::optional<Message> InProcEndpoint::RecvFrom(Rank from) {
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (it->from == from) {
-      Message msg = std::move(*it);
-      stash_.erase(it);
-      instr_.OnRecv(msg.from, msg);
-      return msg;
-    }
-  }
-  while (true) {
-    std::optional<Message> msg = hub_->Pop(self_);
-    if (!msg.has_value()) return std::nullopt;
-    if (msg->from == from) {
-      instr_.OnRecv(msg->from, *msg);
-      return msg;
-    }
-    stash_.push_back(std::move(*msg));
-  }
 }
 
 RecvResult InProcEndpoint::RecvTimed(Duration timeout_us) {

@@ -1,9 +1,9 @@
 // In-process transport: one mutex+condvar mailbox per rank. Endpoints are
 // handed to node threads; Send never blocks (the mailbox is unbounded, so
 // unlike a socket's send buffer nothing here bounds outstanding data: a
-// checkpoint segment can be any size), Recv blocks until a message or hub
-// shutdown. The timed variants wait at most the given number of
-// microseconds (0 = non-blocking poll, negative = forever).
+// checkpoint segment can be any size). A receive waits at most the given
+// number of microseconds (0 = non-blocking poll, negative = until a message
+// or hub shutdown).
 #pragma once
 
 #include <atomic>
@@ -26,8 +26,6 @@ class InProcEndpoint final : public Transport {
 
   Rank Self() const override { return self_; }
   void Send(Rank to, Message msg) override;
-  std::optional<Message> Recv() override;
-  std::optional<Message> RecvFrom(Rank from) override;
   RecvResult RecvTimed(Duration timeout_us) override;
   RecvResult RecvFromTimed(Rank from, Duration timeout_us) override;
   void AttachMetrics(obs::MetricsRegistry* registry) override {
@@ -37,7 +35,7 @@ class InProcEndpoint final : public Transport {
  private:
   InProcHub* hub_;
   Rank self_;
-  std::deque<Message> stash_;  // messages deferred by RecvFrom
+  std::deque<Message> stash_;  // messages deferred by RecvFromTimed
   NetInstrument instr_;
 };
 
@@ -62,7 +60,6 @@ class InProcHub {
   };
 
   void Push(Rank to, Message msg);
-  std::optional<Message> Pop(Rank self);
 
   /// Timed pop: kTimeout after `timeout_us` with an empty mailbox (0 polls,
   /// negative waits forever), kClosed after Shutdown() drained the queue.

@@ -54,16 +54,6 @@ void RecordingTap::Send(Rank to, Message msg) {
   inner_.Send(to, std::move(msg));
 }
 
-void RecordingTap::RecordOutcome(std::uint32_t peer,
-                                 const std::optional<Message>& msg) {
-  if (!writer_.IsOpen()) return;
-  if (msg.has_value()) {
-    writer_.FrameIn(ToRecordedFrame(msg->from, *msg));
-  } else {
-    writer_.Closed(peer);
-  }
-}
-
 void RecordingTap::RecordOutcome(std::uint32_t peer, const RecvResult& res) {
   if (!writer_.IsOpen()) return;
   switch (res.status) {
@@ -77,18 +67,6 @@ void RecordingTap::RecordOutcome(std::uint32_t peer, const RecvResult& res) {
       writer_.Closed(peer);
       break;
   }
-}
-
-std::optional<Message> RecordingTap::Recv() {
-  std::optional<Message> msg = inner_.Recv();
-  RecordOutcome(obs::kRecordAnyPeer, msg);
-  return msg;
-}
-
-std::optional<Message> RecordingTap::RecvFrom(Rank from) {
-  std::optional<Message> msg = inner_.RecvFrom(from);
-  RecordOutcome(from, msg);
-  return msg;
 }
 
 RecvResult RecordingTap::RecvTimed(Duration timeout_us) {

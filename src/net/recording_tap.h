@@ -62,8 +62,6 @@ class RecordingTap : public Transport {
   // -- Transport ------------------------------------------------------------
   Rank Self() const override { return inner_.Self(); }
   void Send(Rank to, Message msg) override;
-  std::optional<Message> Recv() override;
-  std::optional<Message> RecvFrom(Rank from) override;
   RecvResult RecvTimed(Duration timeout_us) override;
   RecvResult RecvFromTimed(Rank from, Duration timeout_us) override;
   void AttachMetrics(obs::MetricsRegistry* registry) override {
@@ -71,7 +69,6 @@ class RecordingTap : public Transport {
   }
 
  private:
-  void RecordOutcome(std::uint32_t peer, const std::optional<Message>& msg);
   void RecordOutcome(std::uint32_t peer, const RecvResult& res);
 
   Transport& inner_;

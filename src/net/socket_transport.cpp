@@ -166,19 +166,6 @@ std::optional<Message> SocketEndpoint::ReadFrame(int fd) {
   return msg;
 }
 
-std::optional<Message> SocketEndpoint::Recv() {
-  if (!stash_.empty()) {
-    Message msg = std::move(stash_.front());
-    stash_.erase(stash_.begin());
-    instr_.OnRecv(msg.from, msg);
-    return msg;
-  }
-  RecvResult res = RecvFromWire(-1);
-  if (!res.Ok()) return std::nullopt;
-  instr_.OnRecv(res.msg.from, res.msg);
-  return std::move(res.msg);
-}
-
 RecvResult SocketEndpoint::RecvFromWire(Duration timeout_us) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(timeout_us < 0 ? 0
@@ -225,12 +212,6 @@ RecvResult SocketEndpoint::RecvFromWire(Duration timeout_us) {
       return RecvResult{RecvStatus::kOk, std::move(*msg)};
     }
   }
-}
-
-std::optional<Message> SocketEndpoint::RecvFrom(Rank from) {
-  RecvResult res = RecvFromTimed(from, -1);
-  if (!res.Ok()) return std::nullopt;
-  return std::move(res.msg);
 }
 
 RecvResult SocketEndpoint::RecvTimed(Duration timeout_us) {

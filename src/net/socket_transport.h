@@ -53,8 +53,6 @@ class SocketEndpoint final : public Transport {
   /// Thread-safe: a node's comm and join threads may both send. Sends to a
   /// dead peer are dropped.
   void Send(Rank to, Message msg) override;
-  std::optional<Message> Recv() override;
-  std::optional<Message> RecvFrom(Rank from) override;
   RecvResult RecvTimed(Duration timeout_us) override;
   RecvResult RecvFromTimed(Rank from, Duration timeout_us) override;
   void AttachMetrics(obs::MetricsRegistry* registry) override {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "common/time.h"
 #include "net/message.h"
@@ -55,19 +56,26 @@ class Transport {
   /// handles missing replies via timeouts, not send failures).
   virtual void Send(Rank to, Message msg) = 0;
 
+  // Untimed receives: each is its timed form with a negative timeout, and no
+  // transport defines them again. They stay virtual only because a
+  // measuring decorator outside src/ (wallbench/probes.h MeasuredTransport)
+  // times each call as the node makes it.
+
   /// Blocking receive from any peer (the `from` field identifies the
   /// sender). Returns nullopt when the transport is shut down.
-  virtual std::optional<Message> Recv() = 0;
+  virtual std::optional<Message> Recv() { return Untimed(RecvTimed(-1)); }
 
   /// Blocking receive of the next message *from a specific peer*; messages
   /// from other peers arriving meanwhile are queued and delivered by later
   /// calls. This is the primitive the paper's fixed communication sequence
   /// relies on.
-  virtual std::optional<Message> RecvFrom(Rank from) = 0;
+  virtual std::optional<Message> RecvFrom(Rank from) {
+    return Untimed(RecvFromTimed(from, -1));
+  }
 
   // Timed receives. Every implementation honors one timeout contract
   // (asserted across all transports by tests/net/transport_conformance_test):
-  //   * timeout_us < 0  -- wait forever (equivalent to Recv/RecvFrom);
+  //   * timeout_us < 0  -- wait forever (what Recv/RecvFrom do);
   //   * timeout_us == 0 -- non-blocking poll: deliver a message that is
   //     already queued/readable (RecvFromTimed drains and stashes ineligible
   //     senders while hunting), otherwise return kTimeout without waiting;
@@ -92,6 +100,13 @@ class Transport {
   /// Default: no-op (the transport stays uninstrumented).
   virtual void AttachMetrics(obs::MetricsRegistry* registry) {
     (void)registry;
+  }
+
+ private:
+  /// An endless wait ends only with a message or closure.
+  static std::optional<Message> Untimed(RecvResult res) {
+    if (!res.Ok()) return std::nullopt;
+    return std::move(res.msg);
   }
 };
 

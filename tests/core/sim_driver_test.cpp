@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "core/epoch_tuner.h"
 #include "gen/stream_source.h"
 #include "join/reference_join.h"
 
@@ -271,6 +272,20 @@ TEST(SimDriverTest, EpochTunerGrowsShortEpochsInSim) {
   RunMetrics rm = SimDriver(cfg, opts).Run();
   EXPECT_GT(rm.epoch_grows, 0u);
   EXPECT_GT(rm.final_t_dist, cfg.epoch.t_dist);
+}
+
+TEST(SimDriverTest, EpochTunerStartsAtItsClampedEpoch) {
+  SystemConfig cfg = FastCfg();
+  // 100 ms is below the tuner's 250 ms floor; t_rep is far beyond the run,
+  // so the tuner never decides and the run keeps its starting epoch.
+  cfg.epoch.t_dist = 100 * kUsPerMs;
+  cfg.epoch.t_rep = 100 * kUsPerSec;
+  cfg.epoch_tuner.enabled = true;
+  SimOptions opts{0, 3 * kUsPerSec};
+  RunMetrics rm = SimDriver(cfg, opts).Run();
+  EXPECT_EQ(rm.epoch_grows, 0u);
+  EXPECT_EQ(rm.epoch_shrinks, 0u);
+  EXPECT_EQ(rm.final_t_dist, EpochTuner::kMinEpoch);
 }
 
 TEST(SimDriverTest, DelayHistogramConsistentWithMean) {

@@ -1,9 +1,11 @@
 #include "harness/chaos_harness.h"
 
+#include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -26,11 +28,30 @@ namespace sjoin {
 namespace {
 
 /// Fresh per-run directory for auto-recorded bundles (opts.record_dir
-/// empty): unique under the system temp dir, deleted again unless the run
-/// fails its differential check.
-std::string MakeTempRecordDir() {
+/// empty). Under $SJOIN_RECORD_KEEP_DIR it is named after the running test
+/// (`<suite>.<test>.<n>`, '/' of parameterized names as '_') and always
+/// kept; otherwise it is unique under the system temp dir and deleted again
+/// unless the run fails its differential check.
+std::string MakeRecordDir(const char* keep_root) {
   static std::atomic<std::uint64_t> counter{0};
   std::error_code ec;
+  if (keep_root != nullptr) {
+    std::string test = "run";
+    if (const ::testing::TestInfo* info =
+            ::testing::UnitTest::GetInstance()->current_test_info()) {
+      test = std::string(info->test_suite_name()) + "." + info->name();
+      std::replace(test.begin(), test.end(), '/', '_');
+    }
+    while (true) {
+      const std::filesystem::path dir =
+          std::filesystem::path(keep_root) /
+          (test + "." +
+           std::to_string(counter.fetch_add(1, std::memory_order_relaxed)));
+      // An existing dir (create_directories is false, no error): next n.
+      if (std::filesystem::create_directories(dir, ec)) return dir.string();
+      if (ec) return {};
+    }
+  }
   const std::filesystem::path base =
       std::filesystem::temp_directory_path(ec);
   if (ec) return {};
@@ -111,8 +132,14 @@ std::string ChaosClusterResult::Summary(bool include_fault_lines) const {
   // The collector's raw output count is excluded: it includes whatever a
   // dying slave drained before the crash (a thread race, see the `drained`
   // note above); the deterministic output set is already pinned by the
-  // outputs=/hash= line.
-  os << "collector: reports=" << collector.reports << "\n";
+  // outputs=/hash= line. Its report count races the same way once a slave
+  // is evicted (the kResultStats frames a crashed slave got out before its
+  // endpoint died), so it is printed only for runs without an eviction:
+  // there each slave's reports reach the collector ahead of its kShutdown on
+  // the same channel, and the count is deterministic.
+  if (master.dead_slaves == 0) {
+    os << "collector: reports=" << collector.reports << "\n";
+  }
   return std::move(os).str();
 }
 
@@ -128,13 +155,17 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     result.obs[r]->trace.SetEnabled(opts.trace_events);
   }
 
-  // Every run records: to opts.record_dir when set, else to a temp dir
-  // kept only on differential failure. The tap is outermost (around the
-  // fault endpoint) so bundles hold frames exactly as the node saw them,
-  // after injection.
-  const bool explicit_record_dir = !opts.record_dir.empty();
-  const std::string record_dir =
-      explicit_record_dir ? opts.record_dir : MakeTempRecordDir();
+  // Every run records: to opts.record_dir when set, else to a directory of
+  // its own under SJOIN_RECORD_KEEP_DIR (kept) or the temp dir (kept only
+  // on differential failure). The tap is outermost (around the fault
+  // endpoint) so bundles hold frames exactly as the node saw them, after
+  // injection.
+  const char* keep_root = std::getenv("SJOIN_RECORD_KEEP_DIR");
+  if (keep_root != nullptr && *keep_root == '\0') keep_root = nullptr;
+  const bool keep = !opts.record_dir.empty() || keep_root != nullptr;
+  const std::string record_dir = !opts.record_dir.empty()
+                                     ? opts.record_dir
+                                     : MakeRecordDir(keep_root);
 
   std::vector<std::unique_ptr<FaultEndpoint>> endpoints(n + 2);
   std::vector<std::unique_ptr<RecordingTap>> taps(n + 2);
@@ -252,7 +283,7 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
   // (per-rank tagged outputs, epoch CSV/JSONL, traces): the directory is a
   // self-contained repro that `sjoin_replay --verify` can gate byte-for-byte.
   for (Rank r = 0; r < n + 2; ++r) taps[r]->Finish();
-  if (!record_dir.empty() && (explicit_record_dir || !result.exact)) {
+  if (!record_dir.empty() && (keep || !result.exact)) {
     for (Rank s = 1; s <= n; ++s) {
       const std::string rs = std::to_string(s);
       WriteFileRaw(record_dir + "/outputs_rank" + rs + ".csv",
@@ -264,6 +295,8 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     }
     WriteFileRaw(record_dir + "/epochs_rank0.csv",
                  result.obs[0]->recorder.ExportCsv());
+    WriteFileRaw(record_dir + "/epochs_rank0.jsonl",
+                 result.obs[0]->recorder.ExportJsonl());
     const std::string collector = std::to_string(n + 1);
     WriteFileRaw(record_dir + "/epochs_rank" + collector + ".csv",
                  result.obs[n + 1]->recorder.ExportCsv());
@@ -301,7 +334,7 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
                            summary);
       }
     }
-  } else if (!explicit_record_dir && !record_dir.empty()) {
+  } else if (!keep && !record_dir.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(record_dir, ec);
   }

@@ -58,8 +58,10 @@ struct ChaosClusterOptions {
   bool trace_events = false;
 
   /// Where every rank's `rank<R>.sjrec` bundle and the live artifacts go
-  /// (always kept). Empty: a temp directory, kept only when the
-  /// differential check fails (see ChaosClusterResult::recording).
+  /// (always kept). Empty: a directory of the run's own, under
+  /// $SJOIN_RECORD_KEEP_DIR when that is set (always kept), else a temp
+  /// directory kept only when the differential check fails (see
+  /// ChaosClusterResult::recording).
   std::string record_dir;
 };
 
@@ -116,11 +118,13 @@ struct ChaosClusterResult {
   std::vector<std::string> rank_traces;
 
   /// Record/replay bundles of this run. Every chaos run is recorded: to
-  /// ChaosClusterOptions::record_dir when set (always kept), else to a temp
-  /// directory
-  /// that is kept -- and copied into the CI artifact dir -- only when the
-  /// differential check fails, so any red run ships a one-command repro
-  /// (`sjoin_replay --bundle <dir>/rank<R>.sjrec`).
+  /// ChaosClusterOptions::record_dir when set, or to a subdirectory of
+  /// $SJOIN_RECORD_KEEP_DIR named after the running test (both always
+  /// kept; tools/replay_ab.py verifies every run under the keep dir, and
+  /// record_replay_test puts its record_dirs there), else to a temp
+  /// directory that is kept -- and copied into the CI artifact dir -- only
+  /// when the differential check fails, so any red run ships a one-command
+  /// repro (`sjoin_replay --bundle <dir>/rank<R>.sjrec`).
   ChaosRecordingInfo recording;
 
   /// Deterministic digest of the run: every counter that depends only on

@@ -38,18 +38,34 @@ std::string ReadFileRaw(const std::string& path) {
   return buf.str();
 }
 
-/// Unique scratch dir, removed on destruction.
-struct TempDir {
+/// Directory a case records its run into. With $SJOIN_RECORD_KEEP_DIR set
+/// it is kept, so tools/replay_ab.py verifies the run too: the keep dir
+/// itself for `at_keep_root`, else `<keep>/RecordReplayTest.<case>`. Unset,
+/// it is a unique scratch dir, removed on destruction.
+struct RecordDir {
   std::string path;
-  TempDir() {
+  bool kept = false;
+  explicit RecordDir(bool at_keep_root = false) {
     static int counter = 0;
-    path = (std::filesystem::temp_directory_path() /
-            ("sjoin_rr_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter++)))
-               .string();
+    const char* keep = std::getenv("SJOIN_RECORD_KEEP_DIR");
+    kept = keep != nullptr && *keep != '\0';
+    if (kept) {
+      std::filesystem::path dir(keep);
+      if (!at_keep_root) {
+        dir /= std::string("RecordReplayTest.") +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name();
+      }
+      path = dir.string();
+    } else {
+      path = (std::filesystem::temp_directory_path() /
+              ("sjoin_rr_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter++)))
+                 .string();
+    }
     std::filesystem::create_directories(path);
   }
-  ~TempDir() {
+  ~RecordDir() {
+    if (kept) return;
     std::error_code ec;
     std::filesystem::remove_all(path, ec);
   }
@@ -83,17 +99,9 @@ ChaosClusterOptions CrashOptions(const std::string& record_dir) {
 }
 
 TEST(RecordReplayTest, RecordedSlaveReplaysByteIdentically) {
-  TempDir tmp;
-  // CI's replay-smoke step sets SJOIN_RECORD_KEEP_DIR to keep this run's
-  // bundles + live artifacts around and re-verify them with the sjoin_replay
-  // CLI; unset, the run records into a scratch dir that is removed.
-  struct {
-    std::string path;
-  } dir{tmp.path};
-  if (const char* keep = std::getenv("SJOIN_RECORD_KEEP_DIR")) {
-    dir.path = keep;
-    std::filesystem::create_directories(dir.path);
-  }
+  // CI's replay-smoke step sets SJOIN_RECORD_KEEP_DIR and re-verifies this
+  // run's bundles + live artifacts there with the sjoin_replay CLI.
+  RecordDir dir(/*at_keep_root=*/true);
   ChaosClusterOptions opts = CrashOptions(dir.path);
   ChaosClusterResult live = RunChaosCluster(opts);
   ASSERT_TRUE(live.exact) << "missing=" << live.missing.size()
@@ -146,7 +154,7 @@ TEST(RecordReplayTest, RecordedSlaveReplaysByteIdentically) {
 // replayed master starts the same transitions at the same epochs and every
 // one of its deterministic sends, its epoch rows and its trace match.
 TEST(RecordReplayTest, RecordedMasterWithMembershipScheduleReplays) {
-  TempDir dir;
+  RecordDir dir;
   ChaosClusterOptions opts = CrashOptions(dir.path);
   opts.cfg.num_slaves = 4;
   opts.cfg.initial_active_slaves = 3;
@@ -196,7 +204,7 @@ TEST(RecordReplayTest, RecordedMasterWithMembershipScheduleReplays) {
 // recorder row of run totals. Its replay reproduces both files, and the
 // row's counters are nonzero, so the check compares real content.
 TEST(RecordReplayTest, RecordedCollectorReplaysItsEpochFiles) {
-  TempDir dir;
+  RecordDir dir;
   ChaosClusterOptions opts = CrashOptions(dir.path);
   opts.trace_events = false;
   ChaosClusterResult live = RunChaosCluster(opts);
@@ -225,7 +233,7 @@ TEST(RecordReplayTest, RecordedCollectorReplaysItsEpochFiles) {
 }
 
 TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {
-  TempDir dir;
+  RecordDir dir;
   ChaosClusterOptions opts = CrashOptions(dir.path);
   ChaosClusterResult live = RunChaosCluster(opts);
   ASSERT_TRUE(live.exact);
@@ -266,7 +274,7 @@ TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {
 }
 
 TEST(RecordReplayTest, PinpointerLocalizesSingleBitCorruption) {
-  TempDir dir;
+  RecordDir dir;
   ChaosClusterOptions opts = CrashOptions(dir.path);
   ChaosClusterResult live = RunChaosCluster(opts);
   ASSERT_TRUE(live.exact);

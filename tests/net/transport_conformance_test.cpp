@@ -8,7 +8,9 @@
 //   * timeout > 0 -- waits at least the requested time before kTimeout
 //     (spurious wakeups resume the wait, never shorten it);
 //   * kClosed only after shutdown *and* drain -- no deliverable message is
-//     ever discarded by closing.
+//     ever discarded by closing;
+//   * the untimed Recv/RecvFrom (a negative timeout) keep the same stash
+//     and the same drain-then-closed rule.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -216,6 +219,40 @@ TEST_P(TransportConformanceTest, ClosedOnlyAfterDrain) {
   // ...and only then does the transport report closure.
   res = world_->At(0).RecvTimed(5'000'000);
   EXPECT_EQ(res.status, RecvStatus::kClosed);
+}
+
+TEST_P(TransportConformanceTest, UntimedFromSkipsOtherPeersForLaterRecv) {
+  world_->At(1).Send(0, Msg(MsgType::kAck, {1}));
+  Settle();
+  world_->At(2).Send(0, Msg(MsgType::kAck, {2}));
+  Settle();
+  // RecvFrom(2) passes rank 1's earlier frame by...
+  std::optional<Message> msg = world_->At(0).RecvFrom(2);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->from, 2u);
+  EXPECT_EQ(msg->payload, (std::vector<std::uint8_t>{2}));
+  // ...and a later untimed Recv delivers it.
+  msg = world_->At(0).Recv();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->from, 1u);
+  EXPECT_EQ(msg->payload, (std::vector<std::uint8_t>{1}));
+}
+
+TEST_P(TransportConformanceTest, UntimedNulloptOnlyAfterShutdownAndDrain) {
+  world_->At(1).Send(0, Msg(MsgType::kAck, {9}));
+  world_->At(2).Send(0, Msg(MsgType::kAck, {8}));
+  Settle();
+  world_->Shutdown();
+  // Both queued frames survive the shutdown, in either receive...
+  std::optional<Message> msg = world_->At(0).RecvFrom(2);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, (std::vector<std::uint8_t>{8}));
+  msg = world_->At(0).Recv();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, (std::vector<std::uint8_t>{9}));
+  // ...and only then does either report the closure.
+  EXPECT_FALSE(world_->At(0).Recv().has_value());
+  EXPECT_FALSE(world_->At(0).RecvFrom(1).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
