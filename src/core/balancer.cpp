@@ -1,5 +1,7 @@
 #include "core/balancer.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace sjoin {
@@ -158,6 +160,30 @@ std::vector<RebalanceMove> PlanDrain(const PartitionMap& pmap, SlaveIdx leaver,
     moves.push_back(RebalanceMove{pid, leaver, remaining[best]});
   }
   return moves;
+}
+
+std::vector<BuddyHandover> PlanHandovers(const PartitionMap& pmap,
+                                         const std::vector<SlaveIdx>& members,
+                                         SlaveIdx slave, bool join) {
+  std::vector<SlaveIdx> ring;
+  for (SlaveIdx m : members) {
+    if (join || m != slave) ring.push_back(m);
+  }
+  std::vector<BuddyHandover> plan;
+  if (ring.empty()) return plan;
+  for (PartitionId pid = 0; pid < pmap.NumPartitions(); ++pid) {
+    const SlaveIdx owner = pmap.OwnerOf(pid);
+    if (owner == slave ||
+        std::find(ring.begin(), ring.end(), owner) == ring.end()) {
+      continue;
+    }
+    const SlaveIdx next = PartitionMap::RingSuccessor(owner, ring);
+    if (join ? next == slave && pmap.BuddyOf(pid) != slave
+             : pmap.BuddyOf(pid) == slave && next != owner) {
+      plan.push_back(BuddyHandover{pid, next});
+    }
+  }
+  return plan;
 }
 
 DeclusterAction DecideDecluster(const std::vector<Role>& roles, double beta,

@@ -103,6 +103,26 @@ std::vector<RebalanceMove> PlanDrain(const PartitionMap& pmap, SlaveIdx leaver,
                                      const std::vector<SlaveIdx>& remaining,
                                      bool respect_buddies = false);
 
+/// One replica re-homing that follows a membership transition: the group's
+/// owner ships a full snapshot to `to`, which becomes its buddy on the ack.
+struct BuddyHandover {
+  PartitionId pid = 0;
+  SlaveIdx to = 0;
+};
+
+/// Plans the buddy handovers of a membership transition of `slave`, once
+/// its ownership moves are done and none is in flight. `members` are the
+/// alive members, ascending; on a join they include the joiner, on a leave
+/// the leaver. On a join, each group whose owner has the joiner as ring
+/// successor gets the joiner as buddy (groups the joiner owns or already
+/// backs are left alone). On a leave, each group the leaver backs moves its
+/// replica to its owner's successor on the ring without the leaver, unless
+/// that is the owner itself. Groups whose owner is not a member are left
+/// alone. Ascending by group; deterministic.
+std::vector<BuddyHandover> PlanHandovers(const PartitionMap& pmap,
+                                         const std::vector<SlaveIdx>& members,
+                                         SlaveIdx slave, bool join);
+
 enum class DeclusterAction : std::uint8_t { kNone, kGrow, kShrink };
 
 /// Degree-of-declustering decision given the current classification.

@@ -55,6 +55,34 @@ bool MembershipTable::Evict(SlaveIdx s, std::uint64_t epoch) {
   return true;
 }
 
+bool MembershipTable::CanStart(const MembershipEvent& ev) const {
+  if (ev.slave >= alive_.size()) return false;
+  return ev.join ? Alive(ev.slave) && !Member(ev.slave)
+                 : Active(ev.slave) && MemberCount() > 1;
+}
+
+MembershipQueue::MembershipQueue(std::vector<MembershipEvent> schedule) {
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [](const MembershipEvent& a, const MembershipEvent& b) {
+                     return a.epoch < b.epoch;
+                   });
+  schedule_.assign(schedule.begin(), schedule.end());
+}
+
+std::optional<MembershipEvent> MembershipQueue::Pop(std::uint64_t epoch) {
+  std::deque<MembershipEvent>* from = nullptr;
+  if (!schedule_.empty() && schedule_.front().epoch <= epoch) {
+    from = &schedule_;
+  } else if (!proposals_.empty()) {
+    from = &proposals_;
+  } else {
+    return std::nullopt;
+  }
+  const MembershipEvent ev = from->front();
+  from->pop_front();
+  return ev;
+}
+
 bool AcceptCheckpointAck(bool src_alive, bool src_is_current_buddy,
                          std::uint64_t covered_epoch,
                          std::uint64_t acked_watermark) {

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/config.h"
@@ -63,10 +65,33 @@ class MembershipTable {
   /// Epoch of the eviction verdict; 0 while alive.
   std::uint64_t EvictedAt(SlaveIdx s) const { return evicted_at_[s]; }
 
+  /// The skip rule of membership events: a join needs an alive standby, a
+  /// leave an active member that is not the last one.
+  bool CanStart(const MembershipEvent& ev) const;
+
  private:
   std::vector<bool> alive_;
   std::vector<bool> member_;
   std::vector<std::uint64_t> evicted_at_;
+};
+
+/// The master's queue of membership transitions waiting to start: the
+/// schedule, ordered by epoch (stably, so same-epoch events keep their
+/// order), then the policy's proposals in the order they came.
+class MembershipQueue {
+ public:
+  explicit MembershipQueue(std::vector<MembershipEvent> schedule);
+
+  void Propose(const MembershipEvent& ev) { proposals_.push_back(ev); }
+  bool HasProposal() const { return !proposals_.empty(); }
+
+  /// Takes the next event to start at `epoch`: the first scheduled one if
+  /// it is due, else the oldest proposal; nullopt when neither is there.
+  std::optional<MembershipEvent> Pop(std::uint64_t epoch);
+
+ private:
+  std::deque<MembershipEvent> schedule_;
+  std::deque<MembershipEvent> proposals_;
 };
 
 /// Guard for the master's checkpoint-ack path, extracted so the stale-ack

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/balancer.h"
+
 namespace sjoin {
 
 void ReplicationLedger::Retain(PartitionId pid, std::uint64_t epoch,
@@ -87,6 +89,48 @@ void ReplicationLedger::DissolveHandoversTo(SlaveIdx dead) {
   for (Group& g : groups_) {
     if (g.pending == dead) g.pending.reset();
   }
+}
+
+ReplicationLedger::Failover ReplicationLedger::FailOver(
+    SlaveIdx dead, std::span<const PartitionId> orphans) {
+  Failover plan;
+  const std::vector<SlaveIdx> survivors = members_.Members();
+  if (survivors.empty()) return plan;
+  // The target usually *is* the old buddy, so the group needs a fresh one,
+  // starting from a full snapshot.
+  auto adopt = [&](PartitionId pid, SlaveIdx target) {
+    const Adoption a{pid, target, groups_[pid].committed + 1,
+                     target != pmap_.BuddyOf(pid)};
+    pmap_.SetOwner(pid, target);
+    plan.adoptions.push_back(a);
+    FailoverCmdMsg& cmd = plan.commands[target];
+    cmd.dead = dead + 1;
+    cmd.entries.push_back(FailoverCmdMsg::Entry{pid, a.replay_from});
+    ReRing(pid, target);
+  };
+  for (const EvacuationMove& ev :
+       PlanEvacuation(pmap_, dead, survivors, /*prefer_buddies=*/true)) {
+    adopt(ev.pid, ev.target);
+  }
+  plan.evacuated = plan.adoptions.size();
+  for (PartitionId pid : orphans) {
+    SlaveIdx target = pmap_.BuddyOf(pid);
+    if (!members_.Active(target)) {
+      target = survivors.front();
+      for (SlaveIdx s : survivors) {
+        if (pmap_.CountOf(s) < pmap_.CountOf(target)) target = s;
+      }
+    }
+    adopt(pid, target);
+  }
+  // Groups that replicated *to* the dead slave lose their replica; their
+  // live owners re-checkpoint in full to a fresh buddy.
+  for (PartitionId pid = 0; pid < groups_.size(); ++pid) {
+    if (pmap_.BuddyOf(pid) == dead && members_.Active(pmap_.OwnerOf(pid))) {
+      ReRing(pid, pmap_.OwnerOf(pid));
+    }
+  }
+  return plan;
 }
 
 std::map<std::uint64_t, std::vector<Rec>> ReplicationLedger::ReplayBatches(

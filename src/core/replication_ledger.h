@@ -2,8 +2,9 @@
 // "Replication and failover", DESIGN.md "Fault model"), one record per
 // partition-group. It makes every buddy change of the PartitionMap, so the
 // watermark reset and forced full snapshot that go with one cannot be
-// forgotten. Pure bookkeeping -- wire I/O, counters and trace events stay
-// in the runner -- so a test can drive it alone.
+// forgotten, and it plans a dead slave's failover. Pure bookkeeping -- wire
+// I/O, counters and trace events stay in the runner -- so a test can drive
+// it alone.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,24 @@ class ReplicationLedger {
     /// map's buddy (and the old replica) stay authoritative until it acks.
     std::optional<SlaveIdx> pending;
     std::optional<SweepEntry> unacked;  ///< until the buddy named acks it
+  };
+
+  /// One group a failover moves, in planning order.
+  struct Adoption {
+    PartitionId pid = 0;
+    SlaveIdx target = 0;
+    std::uint64_t replay_from = 0;  ///< the group's committed epoch + 1
+    bool degraded = false;  ///< the target was not the buddy: replica lost
+  };
+
+  /// A dead slave's failover (FailOver).
+  struct Failover {
+    /// The dead slave's own groups first, then the orphans.
+    std::vector<Adoption> adoptions;
+    std::size_t evacuated = 0;  ///< adoptions of the dead slave's own groups
+    /// One command per target, by ascending target, entries in planning
+    /// order: what the runner sends before it replays.
+    std::map<SlaveIdx, FailoverCmdMsg> commands;
   };
 
   enum class AckVerdict {
@@ -92,6 +111,16 @@ class ReplicationLedger {
   /// After an owner change: the new owner's journal cannot continue the old
   /// one's segment chain.
   void ForceFull(PartitionId pid) { groups_[pid].need_full = true; }
+
+  /// Plans and applies the failover of `dead` (already evicted from the
+  /// membership table) onto the active members; none left plans nothing.
+  /// Each of its groups goes where PlanEvacuation sends it (the buddy when
+  /// it survives); each orphan -- a group whose move `dead` supplied before
+  /// the consumer acked (MigrationTable::Cancel) -- goes to its buddy if
+  /// active, else to the member owning the fewest groups. An adopted group
+  /// replays from its committed epoch + 1 and re-rings from its new owner;
+  /// a group that replicated to `dead` re-rings from its live owner.
+  Failover FailOver(SlaveIdx dead, std::span<const PartitionId> orphans);
 
   /// A failover's replay: the adopted groups' runs from each `replay_from`
   /// on, merged per epoch in adoption order.

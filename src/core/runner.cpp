@@ -5,7 +5,6 @@
 #include <cassert>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -19,6 +18,7 @@
 #include "core/balancer.h"
 #include "core/master_buffer.h"
 #include "core/membership.h"
+#include "core/migration_table.h"
 #include "core/partition_map.h"
 #include "core/replica_chain.h"
 #include "core/replication_ledger.h"
@@ -55,16 +55,6 @@ constexpr Duration kDrainBudget = 365LL * 24 * 3600 * kUsPerSec;
 /// Capacity (events) of each node's flight-recorder ring of recent
 /// protocol, fault and membership events (obs/flight_recorder.h).
 constexpr std::size_t kFlightRingEvents = 256;
-
-/// One in-flight partition-group migration, tracked until both movers ack.
-struct PendingMove {
-  PartitionId pid = 0;
-  SlaveIdx sup = 0;
-  SlaveIdx con = 0;
-  bool sup_acked = false;
-  bool con_acked = false;
-  std::uint64_t seq = 0;
-};
 
 /// One in-progress membership transition (at most one at a time; scheduled
 /// events and policy proposals queue behind it). A join is handshaken first
@@ -177,25 +167,17 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   Time vt_now = 0;
 
   std::vector<double> occupancy(n, 0.0);
-  std::vector<bool> in_flight(cfg.join.num_partitions, false);
   std::vector<std::uint64_t> batches_sent(n, 0);
   // The newest batch each slave's load report answered, and the last
   // join/leave reply each sent (see dispatch).
   std::vector<std::uint64_t> reported(n, 0);
   std::vector<std::optional<MsgType>> replies(n);
-  std::vector<PendingMove> moves;
-  std::uint64_t next_move_seq = 1;
+  // In-flight migrations; their groups are withheld from batches.
+  MigrationTable migrations;
 
-  // Membership transition state: a sorted queue of scheduled events, the
-  // policy's proposals behind them, and the (single) transition in
+  // Membership transitions waiting to start, and the (single) one in
   // progress.
-  std::deque<MembershipEvent> schedule(opts.membership.begin(),
-                                       opts.membership.end());
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const MembershipEvent& a, const MembershipEvent& b) {
-                     return a.epoch < b.epoch;
-                   });
-  std::deque<MembershipEvent> proposals;
+  MembershipQueue queue(opts.membership);
   std::optional<MembershipTransition> trans;
   ElasticPolicy policy(ecfg);
 
@@ -226,7 +208,9 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   // state the transfer carried died with the node), and force-evacuate its
   // partition-groups onto the survivors. Survivors re-grow window state for
   // the rehosted groups from new arrivals (WindowStore creates groups on
-  // first touch), so the run keeps producing results.
+  // first touch), so the run keeps producing results. With replication the
+  // ledger plans a buddy failover instead (ReplicationLedger::FailOver),
+  // and the adopted groups' retained runs are replayed.
   auto evict = [&](SlaveIdx dead) {
     // Idempotent: a second verdict against the same rank (a failover racing
     // a late frame from the evicted slave on another wait path) must not
@@ -247,111 +231,61 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // Handovers pending toward the dead rank dissolve; the groups keep
     // their old (still committed) buddies.
     ledger.DissolveHandoversTo(dead);
-    // Cancel migrations the dead slave was party to. With replication, a
-    // move whose supplier died before the consumer confirmed the install
-    // leaves the group's live state in limbo (the transfer may never have
-    // been sent) -- such groups are failed over like the dead slave's own.
-    std::vector<PartitionId> orphaned;
-    for (auto it = moves.begin(); it != moves.end();) {
-      if (it->sup == dead || it->con == dead) {
-        in_flight[it->pid] = false;
-        if (repl && it->sup == dead && !it->con_acked) {
-          orphaned.push_back(it->pid);
-        }
-        it = moves.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const std::vector<PartitionId> orphans = migrations.Cancel(dead);
     // Evacuation targets are the surviving *members* -- standbys receive no
     // batches, so rehosting onto one would strand the group.
     const std::vector<SlaveIdx> survivors = members.Members();
-
-    // One group's failover: reassign ownership, record the voiding entry,
-    // and re-ring the buddy (the target usually *is* the old buddy, so the
-    // group needs a fresh one -- starting from a full snapshot).
-    std::map<SlaveIdx, FailoverCmdMsg> adopts;
-    auto fail_over = [&](PartitionId pid, SlaveIdx target) {
-      const std::uint64_t replay_from = ledger.Of(pid).committed + 1;
-      if (target != pmap.BuddyOf(pid)) {
-        count(sum.degraded_failovers, c_degraded);
-      }
-      pmap.SetOwner(pid, target);
-      adopts[target].entries.push_back(
-          FailoverCmdMsg::Entry{pid, replay_from});
-      sum.failovers.push_back(
-          FailoverRecord{pid, target + 1, replay_from, sum.epochs});
-      count(sum.groups_failed_over, c_failed_over);
-      // `slave` is the adopting target (replay events key on it); `dead`
-      // names the failed rank whose verdict the checker pairs this with.
-      ob.trace.Instant(
-          "failover", "repl", vt_now,
-          {{"slave", static_cast<std::int64_t>(target) + 1},
-           {"dead", static_cast<std::int64_t>(dead) + 1},
-           {"pid", static_cast<std::int64_t>(pid)},
-           {"replay_from", static_cast<std::int64_t>(replay_from)}});
-      ob.flight.Record(vt_now, "failover",
-                       "pid=" + std::to_string(pid) + " target=" +
-                           std::to_string(target + 1) + " replay_from=" +
-                           std::to_string(replay_from));
-      ledger.ReRing(pid, target);
-    };
-
     std::uint64_t rehosted = 0;
-    if (!survivors.empty()) {
-      for (const EvacuationMove& ev :
-           PlanEvacuation(pmap, dead, survivors, repl)) {
-        if (repl) {
-          fail_over(ev.pid, ev.target);
-        } else {
-          pmap.SetOwner(ev.pid, ev.target);
-        }
+    if (!repl) {
+      for (const EvacuationMove& ev : PlanEvacuation(pmap, dead, survivors)) {
+        pmap.SetOwner(ev.pid, ev.target);
         ++rehosted;
       }
-      if (repl) {
-        for (PartitionId pid : orphaned) {
-          SlaveIdx target = pmap.BuddyOf(pid);
-          if (!members.Active(target)) {
-            target = survivors.front();
-            for (SlaveIdx s : survivors) {
-              if (pmap.CountOf(s) < pmap.CountOf(target)) target = s;
-            }
-          }
-          fail_over(pid, target);
-        }
-        // Groups that replicated *to* the dead slave lose their replica;
-        // their (live) owners re-checkpoint in full to a fresh buddy.
-        for (PartitionId pid = 0; pid < npart; ++pid) {
-          if (pmap.BuddyOf(pid) == dead && members.Active(pmap.OwnerOf(pid))) {
-            ledger.ReRing(pid, pmap.OwnerOf(pid));
-          }
-        }
-        // Failover commands first, then the retained batches in ascending
-        // epoch order (per-channel FIFO: each target rebuilds every adopted
-        // group from its replica before any replayed tuple arrives).
-        for (auto& [target, fc] : adopts) {
-          fc.dead = dead + 1;
-          Writer w;
-          Encode(w, fc);
-          transport.Send(target + 1, Make(MsgType::kFailoverCmd, std::move(w)));
-        }
-        for (const auto& [target, fc] : adopts) {
-          for (auto& [e, recs] : ledger.ReplayBatches(fc.entries)) {
-            count(sum.replayed_batches, c_replay_batches);
-            count(sum.replayed_tuples, c_replay_tuples, recs.size());
-            ob.trace.Instant(
-                "replay", "repl", vt_now,
-                {{"slave", static_cast<std::int64_t>(target) + 1},
-                 {"epoch", static_cast<std::int64_t>(e)},
-                 {"tuples", static_cast<std::int64_t>(recs.size())}});
-            ReplayBatchMsg rb;
-            rb.epoch = e;
-            rb.recs = std::move(recs);
-            Writer w(TupleBatchMsg::WireSize(rb.recs.size(), tb) + 8);
-            Encode(w, rb, tb);
-            transport.Send(target + 1,
-                           Make(MsgType::kReplayBatch, std::move(w)));
-          }
+    } else {
+      ReplicationLedger::Failover fo = ledger.FailOver(dead, orphans);
+      rehosted = fo.evacuated;
+      for (const ReplicationLedger::Adoption& a : fo.adoptions) {
+        if (a.degraded) count(sum.degraded_failovers, c_degraded);
+        sum.failovers.push_back(
+            FailoverRecord{a.pid, a.target + 1, a.replay_from, sum.epochs});
+        count(sum.groups_failed_over, c_failed_over);
+        // `slave` is the adopting target (replay events key on it); `dead`
+        // names the failed rank whose verdict the checker pairs this with.
+        ob.trace.Instant(
+            "failover", "repl", vt_now,
+            {{"slave", static_cast<std::int64_t>(a.target) + 1},
+             {"dead", static_cast<std::int64_t>(dead) + 1},
+             {"pid", static_cast<std::int64_t>(a.pid)},
+             {"replay_from", static_cast<std::int64_t>(a.replay_from)}});
+        ob.flight.Record(vt_now, "failover",
+                         "pid=" + std::to_string(a.pid) + " target=" +
+                             std::to_string(a.target + 1) + " replay_from=" +
+                             std::to_string(a.replay_from));
+      }
+      // Failover commands first, then the retained batches in ascending
+      // epoch order (per-channel FIFO: each target rebuilds every adopted
+      // group from its replica before any replayed tuple arrives).
+      for (const auto& [target, fc] : fo.commands) {
+        Writer w;
+        Encode(w, fc);
+        transport.Send(target + 1, Make(MsgType::kFailoverCmd, std::move(w)));
+      }
+      for (const auto& [target, fc] : fo.commands) {
+        for (auto& [e, recs] : ledger.ReplayBatches(fc.entries)) {
+          count(sum.replayed_batches, c_replay_batches);
+          count(sum.replayed_tuples, c_replay_tuples, recs.size());
+          ob.trace.Instant(
+              "replay", "repl", vt_now,
+              {{"slave", static_cast<std::int64_t>(target) + 1},
+               {"epoch", static_cast<std::int64_t>(e)},
+               {"tuples", static_cast<std::int64_t>(recs.size())}});
+          ReplayBatchMsg rb;
+          rb.epoch = e;
+          rb.recs = std::move(recs);
+          Writer w(TupleBatchMsg::WireSize(rb.recs.size(), tb) + 8);
+          Encode(w, rb, tb);
+          transport.Send(target + 1,
+                         Make(MsgType::kReplayBatch, std::move(w)));
         }
       }
     }
@@ -368,22 +302,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         obs::ArtifactKind::kChaos,
         "flight_master_evict_slave" + std::to_string(dead + 1) + ".txt",
         ob.flight.Dump(), Summarize(cfg));
-  };
-
-  // Marks one mover's ack on the matching pending move; when both movers
-  // confirmed, the withheld partition is released. Acks with an unmatched
-  // seq are duplicates of finished moves and are ignored.
-  auto handle_ack = [&](SlaveIdx src, const AckMsg& ack) {
-    const auto it = std::find_if(moves.begin(), moves.end(), [&](auto& mv) {
-      return mv.seq == ack.move_seq;
-    });
-    if (it == moves.end()) return;
-    if (src == it->sup) it->sup_acked = true;
-    if (src == it->con) it->con_acked = true;
-    if (it->sup_acked && it->con_acked) {
-      in_flight[it->pid] = false;
-      moves.erase(it);
-    }
   };
 
   // Checkpoint-ack path (ReplicationLedger::Apply): the ack commits a
@@ -422,7 +340,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         reported[src] = report.seq;
       }
     } else if (msg.type == MsgType::kAck) {
-      handle_ack(src, DecodeAck(r));
+      migrations.Ack(src, DecodeAck(r).move_seq);
     } else if (msg.type == MsgType::kMetrics) {
       MetricsMsg mm = DecodeMetrics(r);
       ob.cluster.Record(static_cast<Rank>(src) + 1,
@@ -469,29 +387,24 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   };
 
   // Drives every in-flight migration to completion (both movers acked),
-  // waiting on the front move's next mover. Bounded like the epoch loop:
+  // waiting on the oldest move's next mover. Bounded like the epoch loop:
   // an unresponsive mover gets the dead-slave verdict, which cancels its
   // moves.
   auto drain_moves = [&] {
-    auto mover = [&] {
-      const PendingMove& mv = moves.front();
-      return !mv.sup_acked ? mv.sup : mv.con;
-    };
-    while (!moves.empty() && members.LiveCount() > 0) {
-      const SlaveIdx src = mover();
+    while (!migrations.Empty() && members.LiveCount() > 0) {
+      const SlaveIdx src = migrations.NextMover();
       wait_on(
-          src, [&] { return moves.empty() || mover() != src; },
+          src,
+          [&] { return migrations.Empty() || migrations.NextMover() != src; },
           /*verdict=*/true, opts.recv_timeout_us, opts.recv_max_retries);
     }
   };
 
   // Issues one migration via the kMoveCmd/kInstallCmd sub-protocol and
   // updates the map; the withheld partition is released when both movers
-  // ack (handle_ack).
+  // ack (MigrationTable::Ack).
   auto issue_move = [&](PartitionId pid, SlaveIdx sup, SlaveIdx con) {
-    const std::uint64_t seq = next_move_seq++;
-    in_flight[pid] = true;
-    moves.push_back(PendingMove{pid, sup, con, false, false, seq});
+    const std::uint64_t seq = migrations.Issue(pid, sup, con);
     Writer wm;
     Encode(wm, MoveCmdMsg{pid, static_cast<Rank>(con) + 1, seq});
     transport.Send(static_cast<Rank>(sup) + 1,
@@ -516,7 +429,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     bool moved = false;
     for (std::size_t i = 0; i < plan.size() && i < chunk && trans; ++i) {
       const RebalanceMove& mv = plan[i];
-      if (in_flight[mv.pid] || pmap.OwnerOf(mv.pid) != mv.from ||
+      if (migrations.Withheld(mv.pid) || pmap.OwnerOf(mv.pid) != mv.from ||
           !members.Active(mv.from) || !members.Active(mv.to)) {
         continue;
       }
@@ -533,35 +446,35 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     return moved;
   };
 
-  // One epoch's buddy-handover chunk. `target(pid)` names the desired new
-  // buddy (nullopt = leave the group alone). Untouched groups flip
-  // instantly (no state exists to snapshot); for the rest the owner ships a
-  // full snapshot to the new buddy, and this call blocks until each issued
-  // handover commits or dissolves. Returns true while any group still
-  // awaits a handover after this chunk.
-  auto run_handovers = [&](auto&& target, std::uint32_t chunk) -> bool {
+  // One epoch's chunk of a transition's buddy handovers (PlanHandovers,
+  // planned with no move in flight). Untouched groups flip instantly (no
+  // state exists to snapshot); for the rest the owner ships a full snapshot
+  // to the new buddy, and this call blocks until each issued handover
+  // commits or dissolves. Returns true while any group still awaits a
+  // handover after this chunk.
+  auto run_handovers = [&](const std::vector<BuddyHandover>& plan,
+                           std::uint32_t chunk) -> bool {
     if (!repl) return false;
+    assert(migrations.Empty());
     std::vector<PartitionId> issued;
     std::size_t remaining = 0;
-    for (PartitionId pid = 0; pid < npart; ++pid) {
-      const std::optional<SlaveIdx> want = target(pid);
-      if (!want) continue;
+    for (const auto& [pid, want] : plan) {
       if (!ledger.Of(pid).touched) {
-        ledger.ChangeBuddy(pid, *want);
+        ledger.ChangeBuddy(pid, want);
         count(sum.buddy_handovers, c_handovers);
         ob.trace.Instant("buddy_handover", "membership", vt_now,
-                         {{"slave", static_cast<std::int64_t>(*want) + 1},
+                         {{"slave", static_cast<std::int64_t>(want) + 1},
                           {"pid", static_cast<std::int64_t>(pid)},
                           {"covered_epoch", 0}});
         continue;
       }
       ++remaining;
       if (issued.size() >= chunk) continue;
-      ledger.BeginHandover(pid, *want);
+      ledger.BeginHandover(pid, want);
       CkptCmdMsg cmd;
       cmd.covered_epoch = sum.epochs;
       cmd.entries.push_back(
-          CkptCmdMsg::Entry{pid, static_cast<Rank>(*want) + 1, true, 0});
+          CkptCmdMsg::Entry{pid, static_cast<Rank>(want) + 1, true, 0});
       Writer w;
       Encode(w, cmd);
       transport.Send(static_cast<Rank>(pmap.OwnerOf(pid)) + 1,
@@ -619,21 +532,10 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     if (!trans) {
       // Start the next scheduled event (if due), else the oldest policy
       // proposal.
-      std::optional<MembershipEvent> ev;
-      if (!schedule.empty() && schedule.front().epoch <= sum.epochs) {
-        ev = schedule.front();
-        schedule.pop_front();
-      } else if (!proposals.empty()) {
-        ev = proposals.front();
-        proposals.pop_front();
-      }
+      const std::optional<MembershipEvent> ev = queue.Pop(sum.epochs);
       if (!ev) return;
       const SlaveIdx t = ev->slave;
-      const bool valid =
-          t < n && (ev->join
-                        ? members.Alive(t) && !members.Member(t)
-                        : members.Active(t) && members.MemberCount() > 1);
-      if (!valid) {
+      if (!members.CanStart(*ev)) {
         count(sum.membership_skipped, c_memb_skipped);
         ob.trace.Instant("membership_skip", "membership", vt_now,
                          {{"slave", static_cast<std::int64_t>(t) + 1},
@@ -684,25 +586,16 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       // Ownership settled: re-home replicas so the joiner serves as buddy
       // for its ring predecessor's groups. Groups the joiner owns keep
       // their existing (still valid) buddies.
-      const std::vector<SlaveIdx> ring = members.Members();
       const bool more = run_handovers(
-          [&](PartitionId pid) -> std::optional<SlaveIdx> {
-            const SlaveIdx owner = pmap.OwnerOf(pid);
-            if (owner == t || pmap.BuddyOf(pid) == t || in_flight[pid] ||
-                !members.Active(owner) ||
-                PartitionMap::RingSuccessor(owner, ring) != t) {
-              return std::nullopt;
-            }
-            return t;
-          },
-          chunk);
+          PlanHandovers(pmap, members.Members(), t, /*join=*/true), chunk);
       if (!trans || more) return;
       finish_transition();
     } else {
       // Phase 1: drain ownership off the leaver, `chunk` groups per epoch
       // (re-planned from the live map, like admissions).
+      const std::vector<SlaveIdx> ring = members.Members();
       std::vector<SlaveIdx> remaining;
-      for (SlaveIdx m : members.Members()) {
+      for (SlaveIdx m : ring) {
         if (m != t) remaining.push_back(m);
       }
       if (pmap.CountOf(t) > 0) {
@@ -710,20 +603,9 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         if (!trans || pmap.CountOf(t) > 0) return;
       }
       // Phase 2: hand the leaver's replicas to the owners' new ring
-      // successors (the ring without the leaver).
+      // successors (the ring without the leaver, as it was before phase 1).
       const bool more = run_handovers(
-          [&](PartitionId pid) -> std::optional<SlaveIdx> {
-            const SlaveIdx owner = pmap.OwnerOf(pid);
-            if (pmap.BuddyOf(pid) != t || owner == t || in_flight[pid] ||
-                !members.Active(owner) || remaining.empty()) {
-              return std::nullopt;
-            }
-            const SlaveIdx want =
-                PartitionMap::RingSuccessor(owner, remaining);
-            if (want == owner) return std::nullopt;
-            return want;
-          },
-          chunk);
+          PlanHandovers(pmap, ring, t, /*join=*/false), chunk);
       if (!trans || more) return;
       // Phase 3: farewell handshake; the leaver drops its (now obsolete)
       // replica chains and returns to standby. The ack is sent by its join
@@ -746,22 +628,14 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     }
   };
 
-  // A member's groups that are not in flight, ascending.
-  auto settled = [&](SlaveIdx slave) {
-    std::vector<PartitionId> pids;
-    for (PartitionId pid : pmap.PartitionsOf(slave)) {
-      if (!in_flight[pid]) pids.push_back(pid);
-    }
-    return pids;
-  };
-
   // Ships a member the buffered runs of its settled groups as one
   // kTupleBatch, encoded straight from the buffer, retaining each group's
   // run until a checkpoint covering this epoch is acknowledged -- it is the
   // failover replay. The final sweep skips an empty batch (no load report
   // answers it).
   auto send_batch = [&](SlaveIdx m, bool skip_empty) {
-    const std::vector<PartitionId> pids = settled(m);
+    const std::vector<PartitionId> pids =
+        migrations.Settled(pmap.PartitionsOf(m));
     std::vector<std::span<const Rec>> runs;
     runs.reserve(pids.size());
     std::size_t tuples = 0;
@@ -906,7 +780,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // membership step. Quiet while a transition is in progress or a
     // proposal is already queued -- the policy reacts to the settled
     // cluster, not to its own transient.
-    if (elastic && ecfg.policy && !trans && proposals.empty()) {
+    if (elastic && ecfg.policy && !trans && !queue.HasProposal()) {
       double occ = 0.0;
       for (SlaveIdx m : members.Members()) occ += occupancy[m];
       const std::uint32_t cnt = members.MemberCount();
@@ -917,7 +791,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
         const bool out = d == ScaleDecision::kOut;
         const SlaveIdx t =
             out ? members.Standbys().front() : members.Members().back();
-        proposals.push_back(MembershipEvent{sum.epochs, out, t});
+        queue.Propose(MembershipEvent{sum.epochs, out, t});
         count(out ? sum.policy_scale_outs : sum.policy_scale_ins,
               out ? c_scale_outs : c_scale_ins);
         note_member(out ? "policy_scale_out" : "policy_scale_in", t);
@@ -939,7 +813,8 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       for (SlaveIdx m : members.Members()) {
         CkptCmdMsg cmd;
         cmd.covered_epoch = sum.epochs;
-        cmd.entries = ledger.SweepEntries(m, sum.epochs, settled(m));
+        cmd.entries = ledger.SweepEntries(
+            m, sum.epochs, migrations.Settled(pmap.PartitionsOf(m)));
         if (cmd.entries.empty()) continue;
         Writer w;
         Encode(w, cmd);
@@ -953,7 +828,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // (its drain is a rebalance of its own; interleaving the two would
     // thrash groups). Due by the epoch's logical start, not the wall clock,
     // so a master running late reorganizes at the same epoch as its replay.
-    if (epoch_start >= next_reorg && moves.empty() && !trans) {
+    if (epoch_start >= next_reorg && migrations.Empty() && !trans) {
       next_reorg += cfg.epoch.t_rep;
       const std::vector<SlaveIdx> live_idx = members.Members();
       std::vector<double> occ_live;
@@ -1007,7 +882,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   }
 
   // Final sweep: distribute the tuples that were withheld while their
-  // partition was in flight (the drain released every in_flight flag).
+  // partition was in flight (the drain ended every move).
   for (SlaveIdx m : members.Members()) send_batch(m, /*skip_empty=*/true);
 
   // Tell the collector how many slaves are still alive to report; dead
