@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -87,22 +86,16 @@ RunResult RunCluster(const SystemConfig& cfg, WallOptions wall,
   for (Rank s = 1; s <= n; ++s) wall.slave_obs.push_back(obs[s].get());
 
   std::vector<std::unique_ptr<Transport>> eps;
-  for (Rank r = 0; r < n + 2; ++r) eps.push_back(hub.Endpoint(r));
-  std::vector<std::thread> threads;
-  threads.reserve(n + 1);
-  for (Rank s = 1; s <= n; ++s) {
-    threads.emplace_back([&, s] { (void)RunSlaveNode(*eps[s], cfg, wall); });
+  std::vector<Transport*> nodes;
+  for (Rank r = 0; r < n + 2; ++r) {
+    eps.push_back(hub.Endpoint(r));
+    nodes.push_back(eps.back().get());
   }
-  std::thread collector([&] {
-    (void)RunCollectorNode(*eps[n + 1], cfg, obs[n + 1].get());
-  });
 
   const auto t0 = std::chrono::steady_clock::now();
   RunResult res;
-  res.master = RunMasterNode(*eps[0], cfg, wall);
-  collector.join();
-  hub.Shutdown();
-  for (std::thread& t : threads) t.join();
+  res.master =
+      RunInProcessCluster(hub, nodes, cfg, wall, obs[n + 1].get()).master;
   res.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

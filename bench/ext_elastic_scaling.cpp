@@ -32,7 +32,6 @@
 // SJOIN_BENCH=quick shrinks the trace for smoke runs.
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -81,20 +80,13 @@ std::vector<MembershipEvent> AlternatingPlan(std::size_t events,
 MasterSummary RunCluster(const SystemConfig& cfg, const WallOptions& wall) {
   const Rank n = cfg.num_slaves;
   InProcHub hub(n + 2);
-  std::vector<std::thread> threads;
-  threads.reserve(n + 1);
   std::vector<std::unique_ptr<Transport>> eps;
-  for (Rank r = 0; r < n + 2; ++r) eps.push_back(hub.Endpoint(r));
-  for (Rank s = 1; s <= n; ++s) {
-    threads.emplace_back([&, s] { (void)RunSlaveNode(*eps[s], cfg, wall); });
+  std::vector<Transport*> nodes;
+  for (Rank r = 0; r < n + 2; ++r) {
+    eps.push_back(hub.Endpoint(r));
+    nodes.push_back(eps.back().get());
   }
-  std::thread collector([&] { (void)RunCollectorNode(*eps[n + 1], cfg); });
-
-  MasterSummary master = RunMasterNode(*eps[0], cfg, wall);
-  collector.join();
-  hub.Shutdown();
-  for (std::thread& t : threads) t.join();
-  return master;
+  return RunInProcessCluster(hub, nodes, cfg, wall).master;
 }
 
 }  // namespace

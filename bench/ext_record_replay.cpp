@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -102,21 +101,9 @@ RunResult RunCluster(const SystemConfig& cfg, WallOptions wall,
     nodes.push_back(taps[r].get());
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(n + 1);
-  for (Rank s = 1; s <= n; ++s) {
-    threads.emplace_back([&, s] { (void)RunSlaveNode(*nodes[s], cfg, wall); });
-  }
-  std::thread collector([&] {
-    (void)RunCollectorNode(*nodes[n + 1], cfg, obs[n + 1].get());
-  });
-
   const auto t0 = std::chrono::steady_clock::now();
   RunResult res;
-  (void)RunMasterNode(*nodes[0], cfg, wall);
-  collector.join();
-  hub.Shutdown();
-  for (std::thread& t : threads) t.join();
+  (void)RunInProcessCluster(hub, nodes, cfg, wall, obs[n + 1].get());
   res.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();

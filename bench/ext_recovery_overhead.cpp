@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -61,15 +60,10 @@ std::vector<Rec> MakeTrace(std::size_t count, Time span_us,
   return trace;
 }
 
-struct RunResult {
-  MasterSummary master;
-  std::vector<SlaveSummary> slaves;
-};
-
 /// One full cluster run over in-process channels: every rank is a thread,
 /// every endpoint is decorated with the (possibly crash-injecting) fault
 /// transport.
-RunResult RunCluster(const SystemConfig& cfg, const WallOptions& wall,
+ClusterSummaries RunCluster(const SystemConfig& cfg, const WallOptions& wall,
                      const FaultConfig& faults) {
   const Rank n = cfg.num_slaves;
   InProcHub hub(n + 2);
@@ -78,22 +72,9 @@ RunResult RunCluster(const SystemConfig& cfg, const WallOptions& wall,
     eps[r] = std::make_unique<FaultEndpoint>(hub.Endpoint(r), faults);
   }
 
-  RunResult result;
-  result.slaves.resize(n);
-  std::vector<std::thread> threads;
-  threads.reserve(n + 1);
-  for (Rank s = 1; s <= n; ++s) {
-    threads.emplace_back([&, s] {
-      result.slaves[s - 1] = RunSlaveNode(*eps[s], cfg, wall);
-    });
-  }
-  std::thread collector([&] { (void)RunCollectorNode(*eps[n + 1], cfg); });
-
-  result.master = RunMasterNode(*eps[0], cfg, wall);
-  collector.join();
-  hub.Shutdown();
-  for (std::thread& t : threads) t.join();
-  return result;
+  std::vector<Transport*> nodes;
+  for (Rank r = 0; r < n + 2; ++r) nodes.push_back(eps[r].get());
+  return RunInProcessCluster(hub, nodes, cfg, wall);
 }
 
 }  // namespace
@@ -148,7 +129,7 @@ int main() {
   {
     SystemConfig base = cfg;
     base.replication.enabled = false;
-    RunResult r = RunCluster(base, wall, crash);
+    ClusterSummaries r = RunCluster(base, wall, crash);
     rep.Text("%-10s", "off");
     rep.Num(" %12.0f", static_cast<double>(r.master.tuples_sent * 64));
     rep.Num(" %12.0f", 0.0);
@@ -164,7 +145,7 @@ int main() {
     SystemConfig run_cfg = cfg;
     run_cfg.replication.enabled = true;
     run_cfg.replication.ckpt_interval_epochs = every;
-    RunResult r = RunCluster(run_cfg, wall, crash);
+    ClusterSummaries r = RunCluster(run_cfg, wall, crash);
     const double tuple_bytes =
         static_cast<double>(r.master.tuples_sent) * 64.0;
     const double overhead =

@@ -79,7 +79,7 @@ BENCHMARK(BM_ExtendibleFindAndSplit)->Apply(WithStats);
 /// One slave's join, fed one batch per second in the order a slave
 /// receives it: the master files arrivals per partition and ships each
 /// slave its partitions' runs concatenated in pid order
-/// (MasterBuffer::DrainFor), so a batch visits one group's tuples together.
+/// (MasterBuffer::Pending), so a batch visits one group's tuples together.
 void BM_JoinModuleProcessTuple(benchmark::State& state) {
   SystemConfig cfg;
   cfg.join.window = 10 * kUsPerSec;
@@ -101,7 +101,12 @@ void BM_JoinModuleProcessTuple(benchmark::State& state) {
     for (const Rec& rec : arrivals) {
       master.Add(rec, PartitionOf(rec.key, cfg.join.num_partitions));
     }
-    batch = master.DrainFor(pids);
+    batch.clear();
+    for (PartitionId pid : pids) {
+      const std::span<const Rec> run = master.Pending(pid);
+      batch.insert(batch.end(), run.begin(), run.end());
+      master.ClearPartition(pid);
+    }
     state.ResumeTiming();
     jm.EnqueueBatch(batch);
     jm.ProcessFor(horizon, 3600 * kUsPerSec);

@@ -74,11 +74,6 @@ struct EpochConfig {
   /// Number of sub-groups for sub-group communication (paper section V-B);
   /// 1 disables slotting.
   std::uint32_t num_subgroups = 1;
-
-  /// Stream-identification encoding for tuple batches (paper section IV-B):
-  /// false = per-tuple stream attribute, true = punctuation marks between
-  /// per-stream runs (net/codec.h EncodePunctuated).
-  bool use_punctuation = false;
 };
 
 /// Partition-group replication and crash recovery (wall-clock runners; see

@@ -14,17 +14,6 @@ void MasterBuffer::Add(const Rec& rec, PartitionId pid) {
   peak_bytes_ = std::max(peak_bytes_, TotalBytes());
 }
 
-std::vector<Rec> MasterBuffer::DrainFor(std::span<const PartitionId> pids) {
-  std::vector<Rec> out;
-  for (PartitionId pid : pids) {
-    auto& mb = mini_[pid];
-    out.insert(out.end(), mb.begin(), mb.end());
-    total_ -= mb.size();
-    mb.clear();
-  }
-  return out;
-}
-
 void MasterBuffer::ClearPartition(PartitionId pid) {
   total_ -= mini_[pid].size();
   mini_[pid].clear();

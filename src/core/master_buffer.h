@@ -22,10 +22,6 @@ class MasterBuffer {
   /// Appends an arriving tuple to its partition's mini-buffer.
   void Add(const Rec& rec, PartitionId pid);
 
-  /// Drains every buffered tuple of the given partitions into one batch
-  /// (per-partition arrival order preserved; partitions concatenated).
-  std::vector<Rec> DrainFor(std::span<const PartitionId> pids);
-
   /// One partition's buffered tuples in arrival order, valid until the next
   /// Add or ClearPartition; a sender encodes them from here.
   std::span<const Rec> Pending(PartitionId pid) const { return mini_[pid]; }

@@ -359,17 +359,6 @@ ReplayResult ReplayNode(const obs::Recording& recording,
   return res;
 }
 
-ReplayResult ReplayBundle(const std::string& path,
-                          const ReplayOptions& opts) {
-  obs::LoadRecordingResult loaded = obs::LoadRecording(path);
-  if (!loaded.ok) {
-    ReplayResult res;
-    res.error = loaded.error;
-    return res;
-  }
-  return ReplayNode(loaded.recording, opts);
-}
-
 // -- Divergence pinpointing -------------------------------------------------
 
 namespace {

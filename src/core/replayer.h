@@ -160,10 +160,6 @@ struct ReplayResult {
 ReplayResult ReplayNode(const obs::Recording& recording,
                         const ReplayOptions& opts = {});
 
-/// Convenience: LoadRecording + ReplayNode.
-ReplayResult ReplayBundle(const std::string& path,
-                          const ReplayOptions& opts = {});
-
 /// Canonical text rendering of tagged outputs -- one CSV line per output --
 /// shared by the chaos harness's live artifacts and the replayer so
 /// byte-identity can be gated with a file compare. produced_at is excluded:

@@ -27,6 +27,7 @@
 #include "join/epoch_tag_sink.h"
 #include "join/join_module.h"
 #include "net/codec.h"
+#include "net/inproc_transport.h"
 #include "obs/artifact.h"
 #include "obs/delay_sampler.h"
 #include "window/state_codec.h"
@@ -1623,6 +1624,31 @@ CollectorSummary RunCollectorNode(Transport& transport,
              << sum.dead_slaves << " failovers=" << sum.groups_failed_over
              << " ckpt_bytes=" << sum.ckpt_bytes
              << " replayed_batches=" << sum.replayed_batches);
+  return sum;
+}
+
+ClusterSummaries RunInProcessCluster(InProcHub& hub,
+                                     const std::vector<Transport*>& nodes,
+                                     const SystemConfig& cfg,
+                                     const WallOptions& opts,
+                                     obs::NodeObs* collector_obs) {
+  const Rank n = cfg.num_slaves;
+  assert(nodes.size() == n + 2);
+  ClusterSummaries sum;
+  sum.slaves.resize(n);
+  std::vector<std::thread> slaves;
+  slaves.reserve(n);
+  for (Rank s = 1; s <= n; ++s) {
+    slaves.emplace_back(
+        [&, s] { sum.slaves[s - 1] = RunSlaveNode(*nodes[s], cfg, opts); });
+  }
+  std::thread collector([&] {
+    sum.collector = RunCollectorNode(*nodes[n + 1], cfg, collector_obs);
+  });
+  sum.master = RunMasterNode(*nodes[0], cfg, opts);
+  collector.join();
+  hub.Shutdown();
+  for (std::thread& t : slaves) t.join();
   return sum;
 }
 

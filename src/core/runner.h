@@ -88,6 +88,7 @@
 namespace sjoin {
 
 class EpochTagSink;
+class InProcHub;
 class JoinModule;
 
 struct WallOptions {
@@ -280,5 +281,25 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
 /// time, so the export is deterministic under a seeded run).
 CollectorSummary RunCollectorNode(Transport& transport, const SystemConfig& cfg,
                                   obs::NodeObs* obs = nullptr);
+
+/// Every node's summary of one in-process cluster run.
+struct ClusterSummaries {
+  MasterSummary master;
+  std::vector<SlaveSummary> slaves;  ///< index = rank - 1
+  CollectorSummary collector;
+};
+
+/// Runs a whole cluster in this process over `nodes` (index = rank, N + 2
+/// transports the caller built on `hub`, decorated as it likes): each slave
+/// and the collector on a thread of its own, the master on the calling
+/// thread. When the master returns, the collector is joined first (it exits
+/// once every live slave delivered its shutdown), then `hub` is shut down,
+/// which frees a slave still blocked in a receive (a hung one), then the
+/// slaves are joined. `collector_obs` goes to RunCollectorNode.
+ClusterSummaries RunInProcessCluster(InProcHub& hub,
+                                     const std::vector<Transport*>& nodes,
+                                     const SystemConfig& cfg,
+                                     const WallOptions& opts,
+                                     obs::NodeObs* collector_obs = nullptr);
 
 }  // namespace sjoin

@@ -107,17 +107,14 @@ void SimDriver::ServeSlave(SlaveIdx si, Time t, Duration& serial_accum) {
       std::max(s.stats.buffer_peak_tuples, s.join->BufferedTuples());
 
   // Drain this slave's partitions and ship the batch.
-  std::vector<PartitionId> pids = pmap_.PartitionsOf(si);
-  std::vector<Rec> batch = master_buffer_.DrainFor(pids);
-  std::size_t bytes;
-  if (cfg_.epoch.use_punctuation) {
-    std::size_t s0 = 0;
-    for (const Rec& rec : batch) s0 += rec.stream == 0 ? 1 : 0;
-    bytes = PunctuatedWireSize(s0, batch.size() - s0,
-                               cfg_.workload.tuple_bytes) + 9;
-  } else {
-    bytes = TupleBatchMsg::WireSize(batch.size(), cfg_.workload.tuple_bytes) + 9;
+  std::vector<Rec> batch;
+  for (PartitionId pid : pmap_.PartitionsOf(si)) {
+    const std::span<const Rec> run = master_buffer_.Pending(pid);
+    batch.insert(batch.end(), run.begin(), run.end());
+    master_buffer_.ClearPartition(pid);
   }
+  const std::size_t bytes =
+      TupleBatchMsg::WireSize(batch.size(), cfg_.workload.tuple_bytes) + 9;
 
   master_cpu_ += cm.SerializeCost(bytes);
 

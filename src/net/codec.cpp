@@ -32,78 +32,6 @@ TupleBatchMsg DecodeTupleBatch(Reader& r, std::size_t tuple_bytes) {
   return m;
 }
 
-namespace {
-// Punctuation pseudo-tuple: sentinel timestamp, key = stream id.
-constexpr Time kPunctuationTs = -1;
-}  // namespace
-
-void EncodePunctuated(Writer& w, const TupleBatchMsg& m,
-                      std::size_t tuple_bytes) {
-  // Two passes over recs (count, then emit per stream) instead of building
-  // per-stream pointer vectors: this runs once per distributed batch, and
-  // the old temporaries were the encode path's only per-call allocations.
-  std::uint64_t per_stream[kStreamCount] = {};
-  for (const Rec& rec : m.recs) ++per_stream[rec.stream];
-  std::uint64_t entries = 0;
-  for (std::uint64_t n : per_stream) {
-    if (n != 0) entries += 1 + n;
-  }
-  w.PutU64(entries);
-  for (StreamId s = 0; s < kStreamCount; ++s) {
-    if (per_stream[s] == 0) continue;
-    EncodeRec(w, Rec{kPunctuationTs, s, 0}, tuple_bytes);
-    for (const Rec& rec : m.recs) {
-      if (rec.stream != s) continue;
-      Rec stripped = rec;
-      stripped.stream = 0;  // carried by the punctuation, not the tuple
-      EncodeRec(w, stripped, tuple_bytes);
-    }
-  }
-}
-
-TupleBatchMsg DecodePunctuated(Reader& r, std::size_t tuple_bytes) {
-  TupleBatchMsg m;
-  std::uint64_t entries = r.GetU64();
-  if (entries > r.Remaining() / tuple_bytes) {
-    throw DecodeError("punctuated batch count exceeds payload");
-  }
-  m.recs.reserve(entries);  // upper bound: punctuation marks excluded later
-  bool have_stream = false;
-  StreamId current = 0;
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    Rec rec = DecodeRec(r, tuple_bytes);
-    if (rec.ts == kPunctuationTs) {
-      if (rec.key >= kStreamCount) {
-        throw DecodeError("punctuation names an invalid stream");
-      }
-      current = static_cast<StreamId>(rec.key);
-      have_stream = true;
-      continue;
-    }
-    if (!have_stream) {
-      throw DecodeError("tuple before any punctuation mark");
-    }
-    rec.stream = current;
-    m.recs.push_back(rec);
-  }
-  // Restore global arrival order (runs are per-stream ordered).
-  std::inplace_merge(
-      m.recs.begin(),
-      std::find_if(m.recs.begin(), m.recs.end(),
-                   [&](const Rec& rec) { return rec.stream == 1; }),
-      m.recs.end(), [](const Rec& a, const Rec& b) { return a.ts < b.ts; });
-  return m;
-}
-
-std::size_t PunctuatedWireSize(std::size_t stream0_count,
-                               std::size_t stream1_count,
-                               std::size_t tuple_bytes) {
-  std::size_t entries = stream0_count + stream1_count +
-                        (stream0_count > 0 ? 1 : 0) +
-                        (stream1_count > 0 ? 1 : 0);
-  return 8 + entries * tuple_bytes;
-}
-
 void Encode(Writer& w, const LoadReportMsg& m) {
   w.PutDouble(m.avg_buffer_occupancy);
   w.PutU64(m.buffered_tuples);

@@ -33,20 +33,6 @@ void EncodeTupleBatch(Writer& w, std::span<const std::span<const Rec>> runs,
                       std::size_t tuple_bytes);
 TupleBatchMsg DecodeTupleBatch(Reader& r, std::size_t tuple_bytes);
 
-/// The paper's second stream-identification option: "putting special
-/// punctuation marks (which might itself be fictitious tuples) at the
-/// sequence of tuples from each stream". Tuples are grouped by stream and
-/// each run is preceded by one punctuation pseudo-tuple naming the stream,
-/// so per-tuple stream attributes become unnecessary -- the punctuation
-/// overhead (<= one pseudo-tuple per stream per batch) amortizes away for
-/// large batches. Decoding restores the identical TupleBatchMsg.
-void EncodePunctuated(Writer& w, const TupleBatchMsg& m,
-                      std::size_t tuple_bytes);
-TupleBatchMsg DecodePunctuated(Reader& r, std::size_t tuple_bytes);
-std::size_t PunctuatedWireSize(std::size_t stream0_count,
-                               std::size_t stream1_count,
-                               std::size_t tuple_bytes);
-
 /// slave -> master: load feedback for the reorganization protocol. `seq`
 /// counts the kTupleBatch this report answers (1-based, per slave): the
 /// master accepts only the report matching the batch it just sent, which

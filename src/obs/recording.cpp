@@ -42,7 +42,9 @@ void EncodeSystemConfig(Writer& w, const SystemConfig& cfg) {
   w.PutI64(cfg.epoch.t_dist);
   w.PutI64(cfg.epoch.t_rep);
   w.PutU32(cfg.epoch.num_subgroups);
-  w.PutU8(cfg.epoch.use_punctuation ? 1 : 0);
+  // The byte of the deleted punctuation-encoding flag, always 0 now; the
+  // next schema bump drops it.
+  w.PutU8(0);
 
   w.PutU8(cfg.epoch_tuner.enabled ? 1 : 0);
 
@@ -107,7 +109,7 @@ SystemConfig DecodeSystemConfig(Reader& r) {
   cfg.epoch.t_dist = r.GetI64();
   cfg.epoch.t_rep = r.GetI64();
   cfg.epoch.num_subgroups = r.GetU32();
-  cfg.epoch.use_punctuation = r.GetU8() != 0;
+  (void)r.GetU8();  // the deleted punctuation flag (see EncodeSystemConfig)
 
   cfg.epoch_tuner.enabled = r.GetU8() != 0;
 

@@ -94,7 +94,7 @@ struct RecordedEvent {
 /// initial members), so elastic-join bundles replay from the right boundary.
 struct RecordingManifest {
   std::uint32_t schema = kRecordingSchemaVersion;
-  std::string build_version;
+  std::string build_version;  ///< the recording build's SourceStamp()
   std::uint32_t rank = 0;
   std::uint64_t membership_epoch = 0;
   SystemConfig cfg;

@@ -273,5 +273,58 @@ TEST(EvacuationTest, DeterministicPlan) {
   }
 }
 
+TEST(HandoverTest, JoinerBacksItsRingPredecessorsGroups) {
+  // Members 0, 1 and 2 own the map; 3 joins. Owner 2's ring successor is
+  // now the joiner instead of 0, so its groups hand their replicas over.
+  PartitionMap map(12, 3);
+  map.SetOwner(8, 3);  // the joiner owns group 8: left alone
+  map.SetBuddy(5, 3);  // the joiner backs group 5 already
+  const std::vector<BuddyHandover> plan =
+      PlanHandovers(map, {0, 1, 2, 3}, 3, /*join=*/true);
+  std::vector<PartitionId> pids;
+  for (const BuddyHandover& h : plan) {
+    EXPECT_EQ(h.to, 3u);
+    pids.push_back(h.pid);
+  }
+  EXPECT_EQ(pids, (std::vector<PartitionId>{2, 11}));
+}
+
+TEST(HandoverTest, LeaverReplicasMoveToTheRingWithoutIt) {
+  // Member 1 leaves; it backs owner 0's groups (ring successor). Without
+  // it, owner 0's successor is 2.
+  PartitionMap map(12, 3);
+  for (PartitionId pid : map.PartitionsOf(1)) map.SetOwner(pid, 2);
+  const std::vector<BuddyHandover> plan =
+      PlanHandovers(map, {0, 1, 2}, 1, /*join=*/false);
+  ASSERT_EQ(plan.size(), map.CountOf(0));
+  for (const BuddyHandover& h : plan) {
+    EXPECT_EQ(map.OwnerOf(h.pid), 0u);
+    EXPECT_EQ(map.BuddyOf(h.pid), 1u);
+    EXPECT_EQ(h.to, 2u);
+  }
+}
+
+TEST(HandoverTest, LeaverReplicaStaysWhenOnlyItsOwnerRemains) {
+  // The ring without the leaver is the owner alone: no distinct buddy.
+  PartitionMap map(4, 2);
+  for (PartitionId pid : map.PartitionsOf(1)) map.SetOwner(pid, 0);
+  EXPECT_TRUE(PlanHandovers(map, {0, 1}, 1, /*join=*/false).empty());
+  EXPECT_TRUE(PlanHandovers(map, {1}, 1, /*join=*/false).empty());
+}
+
+TEST(HandoverTest, GroupsOfNonMembersAreLeftAlone) {
+  // Owner 3 is no member (dead or standby): its groups are not planned.
+  PartitionMap map(8, 4);
+  for (PartitionId pid : map.PartitionsOf(1)) map.SetOwner(pid, 0);
+  const std::vector<BuddyHandover> join =
+      PlanHandovers(map, {0, 1, 2}, 1, /*join=*/true);
+  for (const BuddyHandover& h : join) EXPECT_NE(map.OwnerOf(h.pid), 3u);
+  const std::vector<BuddyHandover> leave =
+      PlanHandovers(map, {0, 1, 2}, 2, /*join=*/false);
+  for (const BuddyHandover& h : leave) EXPECT_NE(map.OwnerOf(h.pid), 3u);
+  // Group 2's buddy is 3 (ring successor of owner 2 at construction).
+  EXPECT_EQ(map.BuddyOf(2), 3u);
+}
+
 }  // namespace
 }  // namespace sjoin

@@ -15,11 +15,11 @@ TEST(MasterBufferTest, AddAndDrain) {
   EXPECT_EQ(buf.TotalTuples(), 3u);
   EXPECT_EQ(buf.TotalBytes(), 3u * 64u);
 
-  PartitionId pids[] = {0};
-  auto batch = buf.DrainFor(pids);
+  const std::span<const Rec> batch = buf.Pending(0);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].ts, 1);
   EXPECT_EQ(batch[1].ts, 3);  // per-partition arrival order preserved
+  buf.ClearPartition(0);
   EXPECT_EQ(buf.TotalTuples(), 1u);
 }
 
@@ -29,9 +29,12 @@ TEST(MasterBufferTest, DrainMultiplePartitions) {
     buf.Add(R(t, static_cast<std::uint64_t>(t)),
             static_cast<PartitionId>(t % 4));
   }
-  PartitionId pids[] = {1, 3};
-  auto batch = buf.DrainFor(pids);
-  EXPECT_EQ(batch.size(), 4u);
+  std::size_t drained = 0;
+  for (PartitionId pid : {1u, 3u}) {
+    drained += buf.Pending(pid).size();
+    buf.ClearPartition(pid);
+  }
+  EXPECT_EQ(drained, 4u);
   EXPECT_EQ(buf.TotalTuples(), 4u);
 }
 
@@ -39,8 +42,7 @@ TEST(MasterBufferTest, PeakTracksHighWater) {
   MasterBuffer buf(2, 64);
   for (Time t = 1; t <= 10; ++t) buf.Add(R(t, 0), 0);
   EXPECT_EQ(buf.PeakBytes(), 10u * 64u);
-  PartitionId pids[] = {0};
-  (void)buf.DrainFor(pids);
+  buf.ClearPartition(0);
   EXPECT_EQ(buf.TotalBytes(), 0u);
   EXPECT_EQ(buf.PeakBytes(), 10u * 64u);  // peak survives the drain
   buf.ResetPeak();

@@ -105,6 +105,50 @@ TEST(CheckpointAckGuardTest, DuplicateAndRegressingAcksDropped) {
 }
 
 // ---------------------------------------------------------------------------
+// The event queue and its skip rule.
+
+TEST(MembershipQueueTest, ScheduleByEpochThenProposals) {
+  MembershipQueue q({MembershipEvent{5, true, 2}, MembershipEvent{3, false, 0},
+                     MembershipEvent{5, false, 1}});
+  q.Propose(MembershipEvent{1, true, 3});
+  EXPECT_TRUE(q.HasProposal());
+  // Nothing scheduled is due at epoch 2: the proposal goes first.
+  std::optional<MembershipEvent> ev = q.Pop(2);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev->slave, 3u);
+  EXPECT_FALSE(q.HasProposal());
+  EXPECT_FALSE(q.Pop(2));
+  // Due events in epoch order; same-epoch events keep their given order.
+  q.Propose(MembershipEvent{9, true, 3});
+  ev = q.Pop(10);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev->slave, 0u);
+  ev = q.Pop(10);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev->slave, 2u);
+  ev = q.Pop(10);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev->slave, 1u);
+  ev = q.Pop(10);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev->slave, 3u);
+  EXPECT_FALSE(q.Pop(10));
+}
+
+TEST(MembershipQueueTest, SkipRule) {
+  MembershipTable t(4, 2);  // members 0 1, standbys 2 3
+  EXPECT_TRUE(t.CanStart(MembershipEvent{0, true, 2}));
+  EXPECT_FALSE(t.CanStart(MembershipEvent{0, true, 1}));  // a member
+  EXPECT_FALSE(t.CanStart(MembershipEvent{0, true, 4}));  // no such rank
+  EXPECT_TRUE(t.CanStart(MembershipEvent{0, false, 1}));
+  EXPECT_FALSE(t.CanStart(MembershipEvent{0, false, 3}));  // a standby
+  t.Evict(3, 1);
+  EXPECT_FALSE(t.CanStart(MembershipEvent{0, true, 3}));  // dead
+  t.Evict(0, 1);
+  EXPECT_FALSE(t.CanStart(MembershipEvent{0, false, 1}));  // the last one
+}
+
+// ---------------------------------------------------------------------------
 // ElasticPolicy: hysteresis, the one-member floor, cooldown.
 
 ElasticConfig PolicyCfg() {

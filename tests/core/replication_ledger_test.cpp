@@ -1,6 +1,7 @@
 // ReplicationLedger driven alone: random sequences of the master's
 // replication events -- retain, sweep, ack, re-ring, owner move, handover
-// begin / commit / dissolve, failover gather -- checked after every step
+// begin / commit / dissolve, eviction with its failover plan, replay
+// gather -- checked after every step
 // against a naive model that never prunes (it keeps every run and filters
 // by the highest epoch an ack released), and against the protocol's
 // invariants.
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/balancer.h"
 #include <map>
 #include <optional>
 #include <set>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/balancer.h"
 #include "testutil/fuzz_env.h"
 
 namespace sjoin {
@@ -74,7 +77,7 @@ class LedgerSequence {
       case 5: buddy_op = ReRing(); break;
       case 6: MoveOwner(); break;
       case 7: case 8: buddy_op = BeginHandover(); break;
-      case 9: Evict(); break;
+      case 9: buddy_op = true; Evict(); break;
       case 10: Gather(); break;
       default: Ack(before, buddies_before); break;
     }
@@ -91,6 +94,7 @@ class LedgerSequence {
   std::uint64_t ops[8] = {};
   std::uint64_t acks[kAckKinds] = {};
   std::uint64_t entries_checked = 0;
+  std::uint64_t failovers_checked = 0;
 
  private:
   ModelGroup& M(PartitionId pid) { return model_[pid]; }
@@ -287,16 +291,85 @@ class LedgerSequence {
     return false;
   }
 
+  /// An eviction and the failover the runner plans for it. Orphans are
+  /// groups the dead slave was moving to a live consumer when it died.
   void Evict() {
     ++ops[6];
     if (members_.LiveCount() <= 2) return;
-    const std::optional<SlaveIdx> dead = PickActive([](SlaveIdx) {
-      return true;
-    });
-    members_.Evict(*dead, epoch_);
-    ledger_.DissolveHandoversTo(*dead);
+    const SlaveIdx dead = *PickActive([](SlaveIdx) { return true; });
+    members_.Evict(dead, epoch_);
+    ledger_.DissolveHandoversTo(dead);
     for (ModelGroup& m : model_) {
-      if (m.pending == *dead) m.pending.reset();
+      if (m.pending == dead) m.pending.reset();
+    }
+    std::vector<PartitionId> orphans;
+    for (PartitionId pid = 0; pid < kGroups; ++pid) {
+      if (pmap_.OwnerOf(pid) != dead && rng_.NextBounded(4) == 0) {
+        orphans.push_back(pid);
+      }
+    }
+    // The model's plan, on a copy of the map.
+    const std::vector<SlaveIdx> ring = members_.Members();
+    PartitionMap map = pmap_;
+    std::vector<ReplicationLedger::Adoption> want;
+    std::map<SlaveIdx, std::vector<FailoverCmdMsg::Entry>> cmds;
+    auto adopt = [&](PartitionId pid, SlaveIdx target) {
+      want.push_back(ReplicationLedger::Adoption{
+          pid, target, M(pid).watermark + 1, target != map.BuddyOf(pid)});
+      cmds[target].push_back(
+          FailoverCmdMsg::Entry{pid, M(pid).watermark + 1});
+      map.SetOwner(pid, target);
+    };
+    for (const EvacuationMove& ev : PlanEvacuation(map, dead, ring, true)) {
+      adopt(ev.pid, ev.target);
+    }
+    const std::size_t evacuated = want.size();
+    for (PartitionId pid : orphans) {
+      SlaveIdx target = map.BuddyOf(pid);
+      if (!members_.Active(target)) {
+        target = ring.front();
+        for (SlaveIdx s : ring) {
+          if (map.CountOf(s) < map.CountOf(target)) target = s;
+        }
+      }
+      adopt(pid, target);
+    }
+
+    const ReplicationLedger::Failover got = ledger_.FailOver(dead, orphans);
+    ASSERT_EQ(got.evacuated, evacuated);
+    ASSERT_EQ(got.adoptions.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.adoptions[i].pid, want[i].pid);
+      ASSERT_EQ(got.adoptions[i].target, want[i].target);
+      ASSERT_EQ(got.adoptions[i].replay_from, want[i].replay_from);
+      ASSERT_EQ(got.adoptions[i].degraded, want[i].degraded);
+      ++failovers_checked;
+    }
+    ASSERT_EQ(got.commands.size(), cmds.size());
+    for (const auto& [target, entries] : cmds) {
+      const auto it = got.commands.find(target);
+      ASSERT_NE(it, got.commands.end());
+      ASSERT_EQ(it->second.dead, dead + 1);
+      ASSERT_EQ(it->second.entries.size(), entries.size());
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        ASSERT_EQ(it->second.entries[i].partition_id,
+                  entries[i].partition_id);
+        ASSERT_EQ(it->second.entries[i].replay_from, entries[i].replay_from);
+      }
+    }
+    // Adopted groups re-ring from their target, then the groups that
+    // replicated to the dead slave from their live owner.
+    for (const ReplicationLedger::Adoption& a : want) {
+      ASSERT_EQ(pmap_.OwnerOf(a.pid), a.target);
+      const SlaveIdx next = PartitionMap::RingSuccessor(a.target, ring);
+      if (next != a.target) ChangeModelBuddy(a.pid, next);
+    }
+    for (PartitionId pid = 0; pid < kGroups; ++pid) {
+      const SlaveIdx owner = pmap_.OwnerOf(pid);
+      if (M(pid).buddy == dead && members_.Active(owner)) {
+        const SlaveIdx next = PartitionMap::RingSuccessor(owner, ring);
+        if (next != owner) ChangeModelBuddy(pid, next);
+      }
     }
   }
 
@@ -370,6 +443,7 @@ TEST(ReplicationLedgerTest, RandomSequencesMatchUnprunedModel) {
   std::uint64_t ops[8] = {};
   std::uint64_t acks[kAckKinds] = {};
   std::uint64_t entries = 0;
+  std::uint64_t failovers = 0;
   for (int t = 0; t < trials; ++t) {
     LedgerSequence seq(static_cast<std::uint64_t>(t));
     for (int step = 0; step < 150; ++step) {
@@ -381,11 +455,13 @@ TEST(ReplicationLedgerTest, RandomSequencesMatchUnprunedModel) {
     for (int i = 0; i < 8; ++i) ops[i] += seq.ops[i];
     for (int k = 0; k < kAckKinds; ++k) acks[k] += seq.acks[k];
     entries += seq.entries_checked;
+    failovers += seq.failovers_checked;
   }
   // Every event and every ack kind was exercised.
   for (int i = 0; i < 8; ++i) EXPECT_GT(ops[i], 0u) << "op " << i;
   for (int k = 0; k < kOther; ++k) EXPECT_GT(acks[k], 0u) << "ack kind " << k;
   EXPECT_GT(entries, 0u);
+  EXPECT_GT(failovers, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "net/inproc_transport.h"
@@ -33,44 +34,23 @@ SystemConfig WallCfg(std::uint32_t slaves) {
   return cfg;
 }
 
-struct ClusterResult {
-  MasterSummary master;
-  std::vector<SlaveSummary> slaves;
-  CollectorSummary collector;
-};
-
-ClusterResult RunCluster(const SystemConfig& cfg, const WallOptions& opts) {
+ClusterSummaries RunCluster(const SystemConfig& cfg, const WallOptions& opts) {
   const Rank ranks = cfg.num_slaves + 2;
   InProcHub hub(ranks);
-  ClusterResult result;
-  result.slaves.resize(cfg.num_slaves);
-
-  std::vector<std::thread> threads;
-  for (Rank s = 1; s <= cfg.num_slaves; ++s) {
-    threads.emplace_back([&, s] {
-      auto ep = hub.Endpoint(s);
-      result.slaves[s - 1] = RunSlaveNode(*ep, cfg, opts);
-    });
+  std::vector<std::unique_ptr<InProcEndpoint>> eps;
+  std::vector<Transport*> nodes;
+  for (Rank r = 0; r < ranks; ++r) {
+    eps.push_back(hub.Endpoint(r));
+    nodes.push_back(eps.back().get());
   }
-  std::thread collector([&] {
-    auto ep = hub.Endpoint(cfg.num_slaves + 1);
-    result.collector = RunCollectorNode(*ep, cfg);
-  });
-
-  auto ep = hub.Endpoint(0);
-  result.master = RunMasterNode(*ep, cfg, opts);
-
-  for (auto& t : threads) t.join();
-  collector.join();
-  hub.Shutdown();
-  return result;
+  return RunInProcessCluster(hub, nodes, cfg, opts);
 }
 
 TEST(RunnerTest, EndToEndProducesResults) {
   SystemConfig cfg = WallCfg(2);
   WallOptions opts;
   opts.run_for = 1500 * kUsPerMs;
-  ClusterResult r = RunCluster(cfg, opts);
+  ClusterSummaries r = RunCluster(cfg, opts);
 
   EXPECT_GT(r.master.epochs, 20u);
   EXPECT_GT(r.master.tuples_sent, 1000u);
@@ -97,7 +77,7 @@ TEST(RunnerTest, MigrationMovesLoadAwayFromBusyNode) {
   // ~1600 t/s combined arrivals is ~800 t/s (1.25 ms gaps), so it cannot
   // keep up and must become a supplier.
   opts.slave_spin_us_per_tuple = {2000, 0};
-  ClusterResult r = RunCluster(cfg, opts);
+  ClusterSummaries r = RunCluster(cfg, opts);
 
   EXPECT_GT(r.master.migrations, 0u);
   EXPECT_GT(r.slaves[0].groups_moved_out, 0u);
@@ -108,7 +88,7 @@ TEST(RunnerTest, SingleSlaveCluster) {
   SystemConfig cfg = WallCfg(1);
   WallOptions opts;
   opts.run_for = 800 * kUsPerMs;
-  ClusterResult r = RunCluster(cfg, opts);
+  ClusterSummaries r = RunCluster(cfg, opts);
   EXPECT_GT(r.collector.outputs, 0u);
   EXPECT_EQ(r.master.migrations, 0u);  // nowhere to move
 }

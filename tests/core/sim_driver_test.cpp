@@ -232,21 +232,6 @@ TEST(SimDriverTest, WindowStateIsBoundedByExpiry) {
   EXPECT_GT(rm.slaves[0].window_tuples_max, 1000u);
 }
 
-TEST(SimDriverTest, PunctuationEncodingCostsAtMostTwoTuplesPerBatch) {
-  SystemConfig cfg = FastCfg();
-  SimOptions opts{2 * kUsPerSec, 15 * kUsPerSec};
-  RunMetrics attr = SimDriver(cfg, opts).Run();
-  SystemConfig pcfg = cfg;
-  pcfg.epoch.use_punctuation = true;
-  RunMetrics punct = SimDriver(pcfg, opts).Run();
-  // Identical results; comm differs only by the punctuation pseudo-tuples.
-  EXPECT_EQ(attr.TotalOutputs(), punct.TotalOutputs());
-  EXPECT_GE(punct.TotalComm(), attr.TotalComm());
-  // <= 2 extra tuples per epoch per slave: bound the relative increase.
-  EXPECT_LT(static_cast<double>(punct.TotalComm()),
-            1.05 * static_cast<double>(attr.TotalComm()));
-}
-
 TEST(SimDriverTest, RateScheduleDrivesLoadPhases) {
   SystemConfig cfg = FastCfg();
   cfg.workload.rate_schedule = {{5 * kUsPerSec, 100.0},

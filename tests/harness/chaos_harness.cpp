@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -148,7 +147,6 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
   InProcHub hub(n + 2);
 
   ChaosClusterResult result;
-  result.slaves.resize(n);
   for (Rank r = 0; r < n + 2; ++r) {
     result.obs.push_back(std::make_unique<obs::NodeObs>());
     result.obs[r]->trace.SetRank(r);
@@ -199,25 +197,13 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
   wall.slave_obs.clear();
   for (Rank s = 1; s <= n; ++s) wall.slave_obs.push_back(result.obs[s].get());
 
-  std::vector<std::thread> slave_threads;
-  slave_threads.reserve(n);
-  for (Rank s = 1; s <= n; ++s) {
-    slave_threads.emplace_back([&, s] {
-      result.slaves[s - 1] = RunSlaveNode(*taps[s], opts.cfg, wall);
-    });
-  }
-  std::thread collector_thread([&] {
-    result.collector =
-        RunCollectorNode(*taps[n + 1], opts.cfg, result.obs[n + 1].get());
-  });
-
-  result.master = RunMasterNode(*taps[0], opts.cfg, wall);
-  // The collector exits once every live slave delivered its final stats and
-  // shutdown; a crashed-hanging slave never will, so tear the hub down only
-  // after the collector is done, to unblock that slave's threads.
-  collector_thread.join();
-  hub.Shutdown();
-  for (std::thread& t : slave_threads) t.join();
+  std::vector<Transport*> nodes;
+  for (Rank r = 0; r < n + 2; ++r) nodes.push_back(taps[r].get());
+  ClusterSummaries sums = RunInProcessCluster(hub, nodes, opts.cfg, wall,
+                                              result.obs[n + 1].get());
+  result.master = std::move(sums.master);
+  result.slaves = std::move(sums.slaves);
+  result.collector = sums.collector;
 
   for (Rank r = 0; r < n + 2; ++r) {
     result.fault_stats.push_back(endpoints[r]->Stats());

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/build_stamp.h"
 #include "core/replayer.h"
 #include "harness/chaos_harness.h"
 #include "net/codec.h"
@@ -230,6 +231,25 @@ TEST(RecordReplayTest, RecordedCollectorReplaysItsEpochFiles) {
   EXPECT_EQ(rep.epoch_jsonl,
             ReadFileRaw(dir.path + "/epochs_rank" + rs + ".jsonl"));
   EXPECT_EQ(rep.epoch_csv, rec.ExportCsv());
+}
+
+// Every rank's bundle names the build that recorded it: this build's source
+// stamp, which sjoin_replay prints beside its own.
+TEST(RecordReplayTest, BundleNamesTheBuildThatRecordedIt) {
+  RecordDir dir;
+  ChaosClusterOptions opts = CrashOptions(dir.path);
+  opts.trace_events = false;
+  ChaosClusterResult live = RunChaosCluster(opts);
+  ASSERT_TRUE(live.exact);
+  const std::string stamp = SourceStamp();
+  EXPECT_EQ(stamp.rfind("src-", 0), 0u) << stamp;
+  EXPECT_EQ(stamp.size(), 20u) << stamp;
+  for (Rank r = 0; r <= opts.cfg.num_slaves + 1; ++r) {
+    const obs::LoadRecordingResult loaded =
+        obs::LoadRecording(obs::RecordingBundlePath(dir.path, r));
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    EXPECT_EQ(loaded.recording.manifest.build_version, stamp) << "rank " << r;
+  }
 }
 
 TEST(RecordReplayTest, BreakpointHaltsWithPostEpochState) {

@@ -120,56 +120,6 @@ TEST(NetCodecTest, ResultStatsRoundTrip) {
   EXPECT_DOUBLE_EQ(back.delay_max_us, 9e6);
 }
 
-TEST(PunctuatedCodecTest, RoundTripPreservesBatch) {
-  TupleBatchMsg m;
-  Pcg32 rng(3, 2);
-  Time ts = 0;
-  for (int i = 0; i < 50; ++i) {
-    ts += 1 + rng.NextBounded(100);
-    m.recs.push_back(Rec{ts, rng.NextU64(),
-                         static_cast<StreamId>(rng.NextBounded(2))});
-  }
-  Writer w;
-  EncodePunctuated(w, m, 64);
-  Reader r(w.Bytes());
-  TupleBatchMsg back = DecodePunctuated(r, 64);
-  EXPECT_EQ(back.recs, m.recs);  // identical content AND arrival order
-}
-
-TEST(PunctuatedCodecTest, SingleStreamBatchHasOnePunctuation) {
-  TupleBatchMsg m;
-  for (Time t = 1; t <= 10; ++t) m.recs.push_back(Rec{t, 5, 0});
-  Writer w;
-  EncodePunctuated(w, m, 64);
-  EXPECT_EQ(w.Size(), PunctuatedWireSize(10, 0, 64));
-  EXPECT_EQ(w.Size(), 8u + 11u * 64u);
-  Reader r(w.Bytes());
-  EXPECT_EQ(DecodePunctuated(r, 64).recs, m.recs);
-}
-
-TEST(PunctuatedCodecTest, EmptyBatch) {
-  TupleBatchMsg m;
-  Writer w;
-  EncodePunctuated(w, m, 64);
-  Reader r(w.Bytes());
-  EXPECT_TRUE(DecodePunctuated(r, 64).recs.empty());
-}
-
-TEST(PunctuatedCodecTest, OverheadBoundedByTwoPseudoTuples) {
-  // Both stream-id options cost the same asymptotically; punctuation adds
-  // at most one pseudo-tuple per stream per batch.
-  EXPECT_EQ(PunctuatedWireSize(100, 100, 64),
-            TupleBatchMsg::WireSize(200, 64) + 2 * 64);
-}
-
-TEST(PunctuatedCodecTest, TupleBeforePunctuationRejected) {
-  Writer w;
-  w.PutU64(1);
-  EncodeRec(w, Rec{123, 9, 0}, 64);  // no punctuation first
-  Reader r(w.Bytes());
-  EXPECT_THROW(DecodePunctuated(r, 64), DecodeError);
-}
-
 TEST(NetCodecTest, MembershipFramesRoundTrip) {
   Writer w;
   Encode(w, JoinCmdMsg{77, 24});

@@ -45,7 +45,6 @@ SystemConfig NonDefaultConfig() {
   cfg.join.fine_tuning = true;
   cfg.balance.beta = 0.77;
   cfg.epoch.t_dist = 7777;
-  cfg.epoch.use_punctuation = true;
   cfg.epoch_tuner.enabled = true;
   cfg.replication.enabled = true;
   cfg.replication.ckpt_interval_epochs = 3;
@@ -95,7 +94,6 @@ TEST(RecordingCodecTest, SystemConfigRoundTripsEveryField) {
   EXPECT_EQ(back.num_slaves, 5u);
   EXPECT_EQ(back.initial_active_slaves, 3u);
   EXPECT_EQ(back.join.num_partitions, 48u);
-  EXPECT_TRUE(back.epoch.use_punctuation);
   EXPECT_TRUE(back.cluster.elastic.policy);
   EXPECT_EQ(back.workload.rate_schedule.size(), 2u);
   EXPECT_DOUBLE_EQ(back.workload.rate_schedule[1].rate_per_sec, 150.0);

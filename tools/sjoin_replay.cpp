@@ -8,6 +8,10 @@
 //   sjoin_replay --info <rank.sjrec>
 //   sjoin_replay --diff <a.sjrec> <b.sjrec>
 //
+// --info and every replay print the build that recorded the bundle and the
+// one running now (common/build_stamp.h); a replay by another build is how
+// a refactor is checked, so they may differ.
+//
 // Default mode replays the bundle through the real runner and prints a
 // summary (epochs, outputs, output hash, send verification). Breakpoints
 // (--until-epoch / --until-vt) halt before the next distribution epoch is
@@ -35,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/build_stamp.h"
 #include "core/replayer.h"
 #include "obs/recording.h"
 
@@ -96,7 +101,7 @@ int Info(const char* path) {
   }
   std::printf(
       "sjoin_replay: %s\n"
-      "  schema=%u rank=%u membership_epoch=%llu build=%s\n"
+      "  schema=%u rank=%u membership_epoch=%llu build=%s (this build: %s)\n"
       "  config: %s\n"
       "  records=%zu (frames_in=%llu tuple_batches=%llu frames_out=%llu "
       "timeouts=%llu closures=%llu)%s\n"
@@ -104,7 +109,8 @@ int Info(const char* path) {
       "retries=%u\n",
       path, rec.manifest.schema, rec.manifest.rank,
       static_cast<unsigned long long>(rec.manifest.membership_epoch),
-      rec.manifest.build_version.c_str(), rec.manifest.config_summary.c_str(),
+      rec.manifest.build_version.c_str(), sjoin::SourceStamp(),
+      rec.manifest.config_summary.c_str(),
       rec.events.size(), static_cast<unsigned long long>(frames),
       static_cast<unsigned long long>(batches),
       static_cast<unsigned long long>(sends),
@@ -240,7 +246,16 @@ int main(int argc, char** argv) {
   // live run matches.
   if (verify_dir != nullptr) opts.trace = true;
 
-  ReplayResult res = sjoin::ReplayBundle(bundle, opts);
+  const sjoin::obs::LoadRecordingResult loaded =
+      sjoin::obs::LoadRecording(bundle);
+  if (!loaded.ok) {
+    std::fprintf(stderr, "sjoin_replay: %s\n", loaded.error.c_str());
+    return 2;
+  }
+  std::printf("sjoin_replay: build: recorded by %s, replayed by %s\n",
+              loaded.recording.manifest.build_version.c_str(),
+              sjoin::SourceStamp());
+  ReplayResult res = sjoin::ReplayNode(loaded.recording, opts);
   if (!res.ok) {
     std::fprintf(stderr, "sjoin_replay: %s\n", res.error.c_str());
     return 2;
