@@ -59,6 +59,33 @@ std::vector<MovePlan> PairSuppliersWithConsumers(
   return plans;
 }
 
+std::vector<RebalanceMove> PlanReorganization(
+    const PartitionMap& pmap, const std::vector<SlaveIdx>& members,
+    const std::vector<double>& occupancy, const BalanceConfig& cfg,
+    Pcg32& rng, bool respect_buddies, obs::MetricsRegistry* reg) {
+  std::vector<double> occ;
+  occ.reserve(members.size());
+  for (SlaveIdx m : members) occ.push_back(occupancy[m]);
+  std::vector<RebalanceMove> moves;
+  for (const MovePlan& plan :
+       PairSuppliersWithConsumers(ClassifySlaves(occ, cfg, reg))) {
+    const SlaveIdx sup = members[plan.supplier];
+    const SlaveIdx con = members[plan.consumer];
+    std::vector<PartitionId> pids;
+    for (PartitionId pid : pmap.PartitionsOf(sup)) {
+      // Owner and replica must stay on distinct nodes for a failover to
+      // mean anything.
+      if (respect_buddies && pmap.BuddyOf(pid) == con) continue;
+      pids.push_back(pid);
+    }
+    if (pids.empty()) continue;
+    const PartitionId pid =
+        pids[rng.NextBounded(static_cast<std::uint32_t>(pids.size()))];
+    moves.push_back(RebalanceMove{pid, sup, con});
+  }
+  return moves;
+}
+
 std::vector<EvacuationMove> PlanEvacuation(
     const PartitionMap& pmap, SlaveIdx dead,
     const std::vector<SlaveIdx>& survivors, bool prefer_buddies) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/rng.h"
 #include "core/partition_map.h"
 
 namespace sjoin::obs {
@@ -47,6 +48,26 @@ struct MovePlan {
 /// slave list; unpaired suppliers (or consumers) are left alone.
 std::vector<MovePlan> PairSuppliersWithConsumers(const std::vector<Role>& roles);
 
+/// One planned live migration: the group travels from `from` to `to` via
+/// the kMoveCmd/kInstallCmd/kStateTransfer sub-protocol.
+struct RebalanceMove {
+  PartitionId pid = 0;
+  SlaveIdx from = 0;
+  SlaveIdx to = 0;
+};
+
+/// Plans one reorganization round over the active `members` (ascending),
+/// whose load reports are `occupancy` (indexed by slave): the members are
+/// classified (ClassifySlaves, counted into `reg` when given) and each
+/// supplier gives the consumer it pairs with one of its groups, drawn from
+/// `rng`. With `respect_buddies` a group never moves onto its own buddy,
+/// and a supplier whose every group is backed by its consumer moves
+/// nothing. Moves are in pairing order, one draw per move.
+std::vector<RebalanceMove> PlanReorganization(
+    const PartitionMap& pmap, const std::vector<SlaveIdx>& members,
+    const std::vector<double>& occupancy, const BalanceConfig& cfg,
+    Pcg32& rng, bool respect_buddies, obs::MetricsRegistry* reg = nullptr);
+
 /// One forced reassignment of a dead slave's partition-group.
 struct EvacuationMove {
   PartitionId pid = 0;
@@ -65,15 +86,6 @@ struct EvacuationMove {
 std::vector<EvacuationMove> PlanEvacuation(
     const PartitionMap& pmap, SlaveIdx dead,
     const std::vector<SlaveIdx>& survivors, bool prefer_buddies = false);
-
-/// One planned live migration of an elastic-membership rebalance (unlike
-/// EvacuationMove the source is alive: the group travels via the normal
-/// kMoveCmd/kStateTransfer sub-protocol, not a failover).
-struct RebalanceMove {
-  PartitionId pid = 0;
-  SlaveIdx from = 0;
-  SlaveIdx to = 0;
-};
 
 /// Plans the partition-groups a newly admitted member takes over: up to an
 /// equal share (floor(npart / members.size())) of groups, pulled one at a

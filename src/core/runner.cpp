@@ -831,23 +831,9 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // so a master running late reorganizes at the same epoch as its replay.
     if (epoch_start >= next_reorg && migrations.Empty() && !trans) {
       next_reorg += cfg.epoch.t_rep;
-      const std::vector<SlaveIdx> live_idx = members.Members();
-      std::vector<double> occ_live;
-      for (SlaveIdx i : live_idx) occ_live.push_back(occupancy[i]);
-      std::vector<Role> roles = ClassifySlaves(occ_live, cfg.balance, &reg);
-      for (const MovePlan& plan : PairSuppliersWithConsumers(roles)) {
-        const SlaveIdx sup = live_idx[plan.supplier];
-        const SlaveIdx con = live_idx[plan.consumer];
-        std::vector<PartitionId> pids;
-        for (PartitionId pid : pmap.PartitionsOf(sup)) {
-          // Never migrate a group onto its own buddy: owner and replica
-          // must stay on distinct nodes for the failover to mean anything.
-          if (repl && pmap.BuddyOf(pid) == con) continue;
-          pids.push_back(pid);
-        }
-        if (pids.empty()) continue;
-        PartitionId pid =
-            pids[rng.NextBounded(static_cast<std::uint32_t>(pids.size()))];
+      for (const auto& [pid, sup, con] :
+           PlanReorganization(pmap, members.Members(), occupancy, cfg.balance,
+                              rng, repl, &reg)) {
         const std::uint64_t seq = issue_move(pid, sup, con);
         count(sum.migrations, c_migrations);
         ob.trace.Instant("migrate", "reorg", vt_now,

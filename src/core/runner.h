@@ -58,6 +58,21 @@
 // crash. A group is never migrated to its own buddy (the replica would
 // collide with the live state).
 //
+// The master (RunMasterNode) does the I/O: it sends, waits -- every wait
+// bounded, every frame it receives dispatched by type -- and keeps the
+// counters and the trace. Its rules live in units a test drives without a
+// transport:
+//   * MigrationTable (core/migration_table.h): the moves in flight, the
+//     groups they withhold, whose ack each awaits, and the orphan rule;
+//   * ReplicationLedger (core/replication_ledger.h): retention, ack
+//     watermarks, sweep entries, buddy changes and handovers, and the plan
+//     of a dead slave's failover;
+//   * core/balancer.h: the reorganization, evacuation, admission, drain
+//     and buddy-handover plans;
+//   * core/membership.h: member states, the queue of membership
+//     transitions with its skip rule, and the scaling policy.
+// tests/core/master_protocol_test.cpp plays every peer of one master.
+//
 // Each slave runs the paper's two software components as two threads. The
 // comm module blocks in Recv and does only what must not wait for the
 // join: it decodes each kTupleBatch and answers its kLoadReport at once (so
