@@ -14,16 +14,6 @@ namespace sjoin {
 
 class MigrationTable {
  public:
-  /// One move of `pid` from `sup` to `con`, until both ack.
-  struct Move {
-    std::uint64_t seq = 0;
-    PartitionId pid = 0;
-    SlaveIdx sup = 0;
-    SlaveIdx con = 0;
-    bool sup_acked = false;
-    bool con_acked = false;
-  };
-
   /// Records a move and returns its seq (1, 2, ... over the run).
   std::uint64_t Issue(PartitionId pid, SlaveIdx sup, SlaveIdx con);
 
@@ -50,9 +40,17 @@ class MigrationTable {
   /// then its consumer. Requires !Empty().
   SlaveIdx NextMover() const;
 
-  const std::vector<Move>& Moves() const { return moves_; }
-
  private:
+  /// One move of `pid` from `sup` to `con`, until both ack.
+  struct Move {
+    std::uint64_t seq = 0;
+    PartitionId pid = 0;
+    SlaveIdx sup = 0;
+    SlaveIdx con = 0;
+    bool sup_acked = false;
+    bool con_acked = false;
+  };
+
   std::vector<Move> moves_;  ///< in issue order
   std::uint64_t next_seq_ = 1;
 };

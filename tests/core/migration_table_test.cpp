@@ -1,7 +1,8 @@
 // MigrationTable driven alone: the orphan rule and the mover order on fixed
 // cases, then random sequences of issue, ack, duplicate ack and cancel
 // checked after every step against a model that keeps every move ever
-// issued with its two ack bits and whether a cancel ended it.
+// issued with its two ack bits and whether a cancel ended it: the withheld
+// groups, the next mover, and the orphans each cancel returns.
 #include "core/migration_table.h"
 
 #include <gtest/gtest.h>
@@ -131,13 +132,6 @@ void RunSequence(std::uint64_t seed, std::uint64_t ops[4]) {
     std::vector<ModelMove> live;
     for (const ModelMove& m : model) {
       if (m.Live()) live.push_back(m);
-    }
-    const std::vector<MigrationTable::Move>& moves = table.Moves();
-    ASSERT_EQ(moves.size(), live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      ASSERT_EQ(moves[i].seq, live[i].seq);
-      ASSERT_EQ(moves[i].sup_acked, live[i].sup_acked);
-      ASSERT_EQ(moves[i].con_acked, live[i].con_acked);
     }
     for (PartitionId pid = 0; pid < kGroups; ++pid) {
       const bool withheld =
