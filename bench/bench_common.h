@@ -27,6 +27,7 @@
 // the calibrated P3-era per-comparison / per-byte / per-message charges.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/rng.h"
 #include "core/metrics.h"
 #include "core/sim_driver.h"
 #include "obs/bench_report.h"
@@ -51,6 +53,27 @@ inline SystemConfig ScaledConfig() {
   cfg.join.window = 60 * kUsPerSec;     // paper: 600 s (scaled 10x)
   cfg.join.theta_bytes = 150 * 1024;    // paper: 1.5 MB (scaled 10x)
   return cfg;
+}
+
+/// Deterministic two-stream trace for the wall-clock cluster benches:
+/// `count` tuples with strictly increasing timestamps over about
+/// [1, span_us], gaps and keys (uniform over [0, key_domain)) drawn from
+/// PCG stream (`seed`, `stream`), streams alternating.
+inline std::vector<Rec> MakeTrace(std::uint64_t seed, std::uint64_t stream,
+                                  std::size_t count, Time span_us,
+                                  std::uint64_t key_domain) {
+  Pcg32 rng(Mix64(seed), stream);
+  std::vector<Rec> trace;
+  trace.reserve(count);
+  const Time step = std::max<Time>(1, span_us / static_cast<Time>(count));
+  Time ts = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    ts += 1 + rng.NextBounded(static_cast<std::uint32_t>(step));
+    const std::uint64_t key =
+        rng.NextBounded(static_cast<std::uint32_t>(key_domain));
+    trace.push_back(Rec{ts, key, static_cast<StreamId>(i & 1)});
+  }
+  return trace;
 }
 
 struct BenchTimes {

@@ -36,32 +36,12 @@
 
 #include "bench_common.h"
 #include "common/config.h"
-#include "common/rng.h"
 #include "core/runner.h"
 #include "net/inproc_transport.h"
 
 namespace {
 
 using namespace sjoin;
-
-/// Deterministic two-stream trace with strictly increasing timestamps.
-std::vector<Rec> MakeTrace(std::size_t count, Time span_us,
-                           std::uint64_t key_domain) {
-  Pcg32 rng(Mix64(0x7E1AULL), 7);
-  std::vector<Rec> trace;
-  trace.reserve(count);
-  const Time step = std::max<Time>(1, span_us / static_cast<Time>(count));
-  Time ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    ts += 1 + rng.NextBounded(static_cast<std::uint32_t>(step));
-    Rec rec;
-    rec.ts = ts;
-    rec.key = rng.NextBounded(static_cast<std::uint32_t>(key_domain));
-    rec.stream = static_cast<StreamId>(i & 1);
-    trace.push_back(rec);
-  }
-  return trace;
-}
 
 /// Alternating leave/join plan on slave index 1, starting at epoch 4: each
 /// leave fully drains before the matching re-join, `events` transitions in
@@ -111,7 +91,8 @@ int main() {
   wall.recv_timeout_us = 250 * kUsPerMs;
   wall.recv_max_retries = 3;
   wall.master_obs = &bench::SharedObs();
-  const std::vector<Rec> trace = MakeTrace(tuples, span, 60);
+  const std::vector<Rec> trace =
+      bench::MakeTrace(0x7E1AULL, 7, tuples, span, 60);
   wall.input_trace = &trace;
 
   bench::Reporter rep("ext_elastic_scaling", "Ext elastic",

@@ -30,7 +30,6 @@
 
 #include "bench_common.h"
 #include "common/config.h"
-#include "common/rng.h"
 #include "core/replayer.h"
 #include "core/runner.h"
 #include "net/inproc_transport.h"
@@ -41,25 +40,6 @@
 namespace {
 
 using namespace sjoin;
-
-/// Deterministic two-stream trace with strictly increasing timestamps.
-std::vector<Rec> MakeTrace(std::size_t count, Time span_us,
-                           std::uint64_t key_domain) {
-  Pcg32 rng(Mix64(0x5EC0DULL), 11);
-  std::vector<Rec> trace;
-  trace.reserve(count);
-  const Time step = std::max<Time>(1, span_us / static_cast<Time>(count));
-  Time ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    ts += 1 + rng.NextBounded(static_cast<std::uint32_t>(step));
-    Rec rec;
-    rec.ts = ts;
-    rec.key = rng.NextBounded(static_cast<std::uint32_t>(key_domain));
-    rec.stream = static_cast<StreamId>(i & 1);
-    trace.push_back(rec);
-  }
-  return trace;
-}
 
 struct RunResult {
   double wall_ms = 0.0;
@@ -141,7 +121,8 @@ int main() {
   wall.run_for = 60 * kUsPerSec;  // cap; the trace ends the run
   wall.recv_timeout_us = 250 * kUsPerMs;
   wall.recv_max_retries = 3;
-  const std::vector<Rec> trace = MakeTrace(tuples, span, 48);
+  const std::vector<Rec> trace =
+      bench::MakeTrace(0x5EC0DULL, 11, tuples, span, 48);
   wall.input_trace = &trace;
 
   const std::string record_dir =

@@ -32,7 +32,6 @@
 
 #include "bench_common.h"
 #include "common/config.h"
-#include "common/rng.h"
 #include "core/runner.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
@@ -40,25 +39,6 @@
 namespace {
 
 using namespace sjoin;
-
-/// Deterministic two-stream trace with strictly increasing timestamps.
-std::vector<Rec> MakeTrace(std::size_t count, Time span_us,
-                           std::uint64_t key_domain) {
-  Pcg32 rng(Mix64(0xBEEFULL), 7);
-  std::vector<Rec> trace;
-  trace.reserve(count);
-  const Time step = std::max<Time>(1, span_us / static_cast<Time>(count));
-  Time ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    ts += 1 + rng.NextBounded(static_cast<std::uint32_t>(step));
-    Rec rec;
-    rec.ts = ts;
-    rec.key = rng.NextBounded(static_cast<std::uint32_t>(key_domain));
-    rec.stream = static_cast<StreamId>(i & 1);
-    trace.push_back(rec);
-  }
-  return trace;
-}
 
 /// One full cluster run over in-process channels: every rank is a thread,
 /// every endpoint is decorated with the (possibly crash-injecting) fault
@@ -98,7 +78,8 @@ int main() {
   wall.recv_max_retries = 2;
   // The master's wall-stage profile (codec/net) lands in the JSON report.
   wall.master_obs = &bench::SharedObs();
-  const std::vector<Rec> trace = MakeTrace(tuples, span, 60);
+  const std::vector<Rec> trace =
+      bench::MakeTrace(0xBEEFULL, 7, tuples, span, 60);
   wall.input_trace = &trace;
 
   FaultConfig crash;

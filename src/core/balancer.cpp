@@ -7,32 +7,24 @@
 namespace sjoin {
 
 std::vector<Role> ClassifySlaves(const std::vector<double>& occupancy,
-                                 const BalanceConfig& cfg) {
+                                 const BalanceConfig& cfg,
+                                 obs::MetricsRegistry* reg) {
   std::vector<Role> roles;
   roles.reserve(occupancy.size());
+  std::uint64_t sup = 0;
+  std::uint64_t con = 0;
   for (double f : occupancy) {
     if (f > cfg.th_sup) {
       roles.push_back(Role::kSupplier);
+      ++sup;
     } else if (f < cfg.th_con) {
       roles.push_back(Role::kConsumer);
+      ++con;
     } else {
       roles.push_back(Role::kNeutral);
     }
   }
-  return roles;
-}
-
-std::vector<Role> ClassifySlaves(const std::vector<double>& occupancy,
-                                 const BalanceConfig& cfg,
-                                 obs::MetricsRegistry* reg) {
-  std::vector<Role> roles = ClassifySlaves(occupancy, cfg);
   if (reg != nullptr) {
-    std::uint64_t sup = 0;
-    std::uint64_t con = 0;
-    for (Role r : roles) {
-      if (r == Role::kSupplier) ++sup;
-      if (r == Role::kConsumer) ++con;
-    }
     reg->GetCounter("balancer_rounds", {}, obs::Stability::kVolatile).Inc();
     reg->GetCounter("balancer_suppliers", {}, obs::Stability::kVolatile)
         .Add(sup);
@@ -61,14 +53,9 @@ std::vector<MovePlan> PairSuppliersWithConsumers(
 
 std::vector<RebalanceMove> PlanReorganization(
     const PartitionMap& pmap, const std::vector<SlaveIdx>& members,
-    const std::vector<double>& occupancy, const BalanceConfig& cfg,
-    Pcg32& rng, bool respect_buddies, obs::MetricsRegistry* reg) {
-  std::vector<double> occ;
-  occ.reserve(members.size());
-  for (SlaveIdx m : members) occ.push_back(occupancy[m]);
+    const std::vector<Role>& roles, Pcg32& rng, bool respect_buddies) {
   std::vector<RebalanceMove> moves;
-  for (const MovePlan& plan :
-       PairSuppliersWithConsumers(ClassifySlaves(occ, cfg, reg))) {
+  for (const MovePlan& plan : PairSuppliersWithConsumers(roles)) {
     const SlaveIdx sup = members[plan.supplier];
     const SlaveIdx con = members[plan.consumer];
     std::vector<PartitionId> pids;

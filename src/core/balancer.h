@@ -25,18 +25,14 @@ namespace sjoin {
 
 enum class Role : std::uint8_t { kSupplier, kConsumer, kNeutral };
 
-/// Classifies each occupancy value (one per active slave).
-std::vector<Role> ClassifySlaves(const std::vector<double>& occupancy,
-                                 const BalanceConfig& cfg);
-
-/// Registry-instrumented variant: additionally bumps the
-/// `balancer_rounds` / `balancer_suppliers` / `balancer_consumers` counters
-/// (registered kVolatile -- occupancies are timing-dependent in wall mode,
-/// so the classification tallies must stay out of per-epoch snapshots).
-/// `reg == nullptr` degrades to the plain overload.
+/// Classifies each occupancy value (one per active slave). With `reg` it
+/// also bumps the `balancer_rounds` / `balancer_suppliers` /
+/// `balancer_consumers` counters (registered kVolatile -- occupancies are
+/// timing-dependent in wall mode, so the classification tallies must stay
+/// out of per-epoch snapshots).
 std::vector<Role> ClassifySlaves(const std::vector<double>& occupancy,
                                  const BalanceConfig& cfg,
-                                 obs::MetricsRegistry* reg);
+                                 obs::MetricsRegistry* reg = nullptr);
 
 /// A planned migration: `supplier` yields one partition-group to `consumer`.
 struct MovePlan {
@@ -56,17 +52,15 @@ struct RebalanceMove {
   SlaveIdx to = 0;
 };
 
-/// Plans one reorganization round over the active `members` (ascending),
-/// whose load reports are `occupancy` (indexed by slave): the members are
-/// classified (ClassifySlaves, counted into `reg` when given) and each
-/// supplier gives the consumer it pairs with one of its groups, drawn from
-/// `rng`. With `respect_buddies` a group never moves onto its own buddy,
-/// and a supplier whose every group is backed by its consumer moves
-/// nothing. Moves are in pairing order, one draw per move.
+/// Plans one reorganization round over the active `members` and their
+/// `roles` (ClassifySlaves, in the same order): each supplier gives the
+/// consumer it pairs with (PairSuppliersWithConsumers) one of its groups,
+/// drawn from `rng`. With `respect_buddies` a group never moves onto its
+/// own buddy, and a supplier whose every group is backed by its consumer
+/// moves nothing. Moves are in pairing order, one draw per move.
 std::vector<RebalanceMove> PlanReorganization(
     const PartitionMap& pmap, const std::vector<SlaveIdx>& members,
-    const std::vector<double>& occupancy, const BalanceConfig& cfg,
-    Pcg32& rng, bool respect_buddies, obs::MetricsRegistry* reg = nullptr);
+    const std::vector<Role>& roles, Pcg32& rng, bool respect_buddies);
 
 /// One forced reassignment of a dead slave's partition-group.
 struct EvacuationMove {

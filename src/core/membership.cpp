@@ -70,16 +70,11 @@ MembershipQueue::MembershipQueue(std::vector<MembershipEvent> schedule) {
 }
 
 std::optional<MembershipEvent> MembershipQueue::Pop(std::uint64_t epoch) {
-  std::deque<MembershipEvent>* from = nullptr;
-  if (!schedule_.empty() && schedule_.front().epoch <= epoch) {
-    from = &schedule_;
-  } else if (!proposals_.empty()) {
-    from = &proposals_;
-  } else {
-    return std::nullopt;
-  }
-  const MembershipEvent ev = from->front();
-  from->pop_front();
+  const bool due = !schedule_.empty() && schedule_.front().epoch <= epoch;
+  std::deque<MembershipEvent>& from = due ? schedule_ : proposals_;
+  if (from.empty()) return std::nullopt;
+  const MembershipEvent ev = from.front();
+  from.pop_front();
   return ev;
 }
 

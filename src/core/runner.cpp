@@ -5,6 +5,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -495,17 +496,17 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     return remaining > committed;
   };
 
-  // Join/leave handshake: send the command and wait for the reply `want`;
-  // every timeout resends with a doubled per-attempt timeout capped at
+  // Join/leave handshake: send `cmd` and wait for the reply `want`; every
+  // timeout resends it with a doubled per-attempt timeout capped at
   // kBackoffCap, and the timeout after kMaxResends resends is the
   // dead-slave verdict. Returns false when the peer was evicted instead of
   // replying.
-  auto handshake = [&](SlaveIdx dst, auto&& send_cmd, MsgType want) -> bool {
+  auto handshake = [&](SlaveIdx dst, const Message& cmd, MsgType want) {
     constexpr std::uint32_t kMaxResends = 3;
     constexpr Duration kBackoffCap = 2 * kUsPerSec;
     Duration timeout = opts.recv_timeout_us;
     replies[dst].reset();
-    send_cmd();
+    transport.Send(static_cast<Rank>(dst) + 1, cmd);
     for (std::uint32_t resends = 0;; ++resends) {
       wait_on(
           dst, [&] { return replies[dst] == want; },
@@ -515,7 +516,7 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       count(sum.handshake_retries, c_hs_retries);
       timeout = std::min(timeout * 2,
                          std::max<Duration>(opts.recv_timeout_us, kBackoffCap));
-      send_cmd();
+      transport.Send(static_cast<Rank>(dst) + 1, cmd);
     }
   };
 
@@ -547,16 +548,12 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       if (ev->join) {
         // Admission handshake: the joiner resyncs its epoch ordinal to
         // admit_epoch - 1 and acks; from this epoch on it receives batches.
-        const bool ok = handshake(
-            t,
-            [&] {
-              Writer w;
-              Encode(w, JoinCmdMsg{sum.epochs, npart});
-              transport.Send(static_cast<Rank>(t) + 1,
-                             Make(MsgType::kJoinCmd, std::move(w)));
-            },
-            MsgType::kJoinAck);
-        if (!ok) return;  // evicted; evict() aborted the transition
+        Writer w;
+        Encode(w, JoinCmdMsg{sum.epochs, npart});
+        if (!handshake(t, Make(MsgType::kJoinCmd, std::move(w)),
+                       MsgType::kJoinAck)) {
+          return;  // evicted; evict() aborted the transition
+        }
         members.Admit(t);
         count(sum.joins, c_joins);
         note_member("member_join", t);
@@ -612,16 +609,12 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       // replica chains and returns to standby. The ack is sent by its join
       // thread, so it orders after every extract and checkpoint this node
       // still owed the cluster -- zero-gap by construction.
-      const bool ok = handshake(
-          t,
-          [&] {
-            Writer w;
-            Encode(w, LeaveCmdMsg{sum.epochs});
-            transport.Send(static_cast<Rank>(t) + 1,
-                           Make(MsgType::kLeaveCmd, std::move(w)));
-          },
-          MsgType::kLeaveAck);
-      if (!ok) return;
+      Writer w;
+      Encode(w, LeaveCmdMsg{sum.epochs});
+      if (!handshake(t, Make(MsgType::kLeaveCmd, std::move(w)),
+                     MsgType::kLeaveAck)) {
+        return;
+      }
       members.Retire(t);
       count(sum.leaves, c_leaves);
       note_member("member_leave", t);
@@ -831,9 +824,11 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     // so a master running late reorganizes at the same epoch as its replay.
     if (epoch_start >= next_reorg && migrations.Empty() && !trans) {
       next_reorg += cfg.epoch.t_rep;
-      for (const auto& [pid, sup, con] :
-           PlanReorganization(pmap, members.Members(), occupancy, cfg.balance,
-                              rng, repl, &reg)) {
+      const std::vector<SlaveIdx> live = members.Members();
+      std::vector<double> occ;
+      for (SlaveIdx m : live) occ.push_back(occupancy[m]);
+      for (const auto& [pid, sup, con] : PlanReorganization(
+               pmap, live, ClassifySlaves(occ, cfg.balance, &reg), rng, repl)) {
         const std::uint64_t seq = issue_move(pid, sup, con);
         count(sum.migrations, c_migrations);
         ob.trace.Instant("migrate", "reorg", vt_now,

@@ -309,14 +309,9 @@ void SimDriver::DoReorg(Time t, Duration interval) {
       ClassifySlaves(occupancy, cfg_.balance, &ob_.registry);
   ob_.trace.Instant("reorg", "reorg", t,
                     {{"active", static_cast<std::int64_t>(active.size())}});
-  for (const MovePlan& plan : PairSuppliersWithConsumers(roles)) {
-    const SlaveIdx from = active[plan.supplier];
-    const SlaveIdx to = active[plan.consumer];
-    std::vector<PartitionId> pids = pmap_.PartitionsOf(from);
-    if (pids.empty()) continue;
-    const PartitionId pid = pids[rng_.NextBounded(
-        static_cast<std::uint32_t>(pids.size()))];
-    MigrateGroup(pid, from, to, t);
+  for (const RebalanceMove& mv : PlanReorganization(
+           pmap_, active, roles, rng_, /*respect_buddies=*/false)) {
+    MigrateGroup(mv.pid, mv.from, mv.to, t);
   }
 
   if (cfg_.balance.adaptive_declustering) {

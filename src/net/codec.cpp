@@ -1,7 +1,5 @@
 #include "net/codec.h"
 
-#include <algorithm>
-
 namespace sjoin {
 
 void Encode(Writer& w, const TupleBatchMsg& m, std::size_t tuple_bytes) {

@@ -1,7 +1,5 @@
 #include "net/recording_tap.h"
 
-#include "common/build_stamp.h"
-
 namespace sjoin {
 
 obs::RecordedFrame ToRecordedFrame(std::uint32_t peer, const Message& msg) {
@@ -29,7 +27,7 @@ Message FromRecordedFrame(const obs::RecordedFrame& frame) {
 bool RecordingTap::Open(const std::string& record_dir, const SystemConfig& cfg,
                         const Info& info) {
   obs::RecordingManifest m;
-  m.build_version = SourceStamp();
+  m.build_version = obs::SourceStamp();
   m.rank = inner_.Self();
   m.membership_epoch = info.membership_epoch;
   m.cfg = cfg;

@@ -49,12 +49,6 @@ class RecordingTap : public Transport {
   /// on IO failure.
   bool Open(const std::string& record_dir, const SystemConfig& cfg,
             const Info& info);
-  bool Open(const std::string& record_dir, const SystemConfig& cfg) {
-    return Open(record_dir, cfg, Info{});
-  }
-
-  bool Recording() const { return writer_.IsOpen(); }
-  const std::string& BundlePath() const { return writer_.Path(); }
 
   /// Flushes and closes the bundle (also done on destruction).
   void Finish() { writer_.Close(); }

@@ -311,7 +311,6 @@ bool RecordingWriter::Open(const std::string& path,
   }
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) return false;
-  path_ = path;
   scratch_.Clear();
   scratch_.PutBytes(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(kRecordingMagic),
@@ -436,6 +435,8 @@ LoadRecordingResult LoadRecording(const std::string& path) {
   res.ok = true;
   return res;
 }
+
+const char* SourceStamp() { return SJOIN_SOURCE_STAMP; }
 
 std::string RecordingBundlePath(const std::string& dir, std::uint32_t rank) {
   return dir + "/rank" + std::to_string(rank) + ".sjrec";

@@ -94,7 +94,7 @@ struct RecordedEvent {
 /// initial members), so elastic-join bundles replay from the right boundary.
 struct RecordingManifest {
   std::uint32_t schema = kRecordingSchemaVersion;
-  std::string build_version;  ///< the recording build's SourceStamp()
+  std::string build_version;  ///< SourceStamp() of the recording build
   std::uint32_t rank = 0;
   std::uint64_t membership_epoch = 0;
   SystemConfig cfg;
@@ -145,7 +145,6 @@ class RecordingWriter {
   /// Creates parent directories, opens `path`, writes header + manifest.
   bool Open(const std::string& path, const RecordingManifest& manifest);
   bool IsOpen() const;
-  const std::string& Path() const { return path_; }
 
   void FrameIn(const RecordedFrame& frame);
   void FrameOut(const RecordedFrame& frame);
@@ -159,7 +158,6 @@ class RecordingWriter {
   void Append(const RecordedEvent& ev);
 
   mutable std::mutex mu_;
-  std::string path_;
   std::ofstream out_;
   Writer scratch_;
 };
@@ -179,6 +177,11 @@ struct LoadRecordingResult {
 };
 
 LoadRecordingResult LoadRecording(const std::string& path);
+
+/// This build's identity: "src-" and 16 hex digits of a SHA-256 over the
+/// files under src/, computed by src/obs/CMakeLists.txt. A manifest names
+/// the build that recorded it; a replay by a changed build differs.
+const char* SourceStamp();
 
 /// Canonical bundle path for a rank: `<dir>/rank<R>.sjrec`.
 std::string RecordingBundlePath(const std::string& dir, std::uint32_t rank);

@@ -327,14 +327,14 @@ TEST(HandoverTest, GroupsOfNonMembersAreLeftAlone) {
 }
 
 TEST(ReorganizationTest, SupplierGivesItsConsumerOneRandomGroup) {
-  // Slave 0 supplies (0.9 > Th_sup), slave 2 consumes (0.0 < Th_con),
-  // slave 1 is neutral. Slave 3 reports but is no member.
+  // Slave 0 supplies, slave 2 consumes, slave 1 is neutral.
   PartitionMap map(12, 3);
-  const std::vector<double> occ = {0.9, 0.2, 0.0, 0.9};
+  const std::vector<Role> roles = {Role::kSupplier, Role::kNeutral,
+                                   Role::kConsumer};
   Pcg32 rng(7, 41);
   Pcg32 same(7, 41);
   const std::vector<RebalanceMove> moves =
-      PlanReorganization(map, {0, 1, 2}, occ, Cfg(), rng, false);
+      PlanReorganization(map, {0, 1, 2}, roles, rng, false);
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].from, 0u);
   EXPECT_EQ(moves[0].to, 2u);
@@ -349,33 +349,34 @@ TEST(ReorganizationTest, NeverMovesAGroupOntoItsBuddy) {
   // Slave 0's groups are backed by slave 1, its consumer: with buddies
   // respected nothing moves and nothing is drawn.
   PartitionMap map(12, 3);
-  const std::vector<double> occ = {0.9, 0.0, 0.2};
+  const std::vector<Role> roles = {Role::kSupplier, Role::kConsumer,
+                                   Role::kNeutral};
   Pcg32 rng(7, 41);
-  EXPECT_TRUE(PlanReorganization(map, {0, 1, 2}, occ, Cfg(), rng, true)
-                  .empty());
-  EXPECT_EQ(PlanReorganization(map, {0, 1, 2}, occ, Cfg(), rng, false).size(),
-            1u);
-  // One backed group less to choose from, never the backed ones.
+  EXPECT_TRUE(PlanReorganization(map, {0, 1, 2}, roles, rng, true).empty());
+  EXPECT_EQ(PlanReorganization(map, {0, 1, 2}, roles, rng, false).size(), 1u);
+  // With one group backed elsewhere, that group is the only choice.
   map.SetBuddy(0, 2);
   for (int i = 0; i < 20; ++i) {
     const std::vector<RebalanceMove> moves =
-        PlanReorganization(map, {0, 1, 2}, occ, Cfg(), rng, true);
+        PlanReorganization(map, {0, 1, 2}, roles, rng, true);
     ASSERT_EQ(moves.size(), 1u);
     EXPECT_EQ(moves[0].pid, 0u);
   }
 }
 
 TEST(ReorganizationTest, EverySupplierPairsWithADistinctConsumer) {
-  PartitionMap map(16, 4);
-  const std::vector<double> occ = {0.9, 0.0, 0.8, 0.0};
+  // Members are slave indices, roles follow their order.
+  PartitionMap map(16, 5);
+  const std::vector<Role> roles = {Role::kSupplier, Role::kConsumer,
+                                   Role::kSupplier, Role::kConsumer};
   Pcg32 rng(3, 41);
   const std::vector<RebalanceMove> moves =
-      PlanReorganization(map, {0, 1, 2, 3}, occ, Cfg(), rng, false);
+      PlanReorganization(map, {0, 2, 3, 4}, roles, rng, false);
   ASSERT_EQ(moves.size(), 2u);
   EXPECT_EQ(moves[0].from, 0u);
-  EXPECT_EQ(moves[0].to, 1u);
-  EXPECT_EQ(moves[1].from, 2u);
-  EXPECT_EQ(moves[1].to, 3u);
+  EXPECT_EQ(moves[0].to, 2u);
+  EXPECT_EQ(moves[1].from, 3u);
+  EXPECT_EQ(moves[1].to, 4u);
   for (const RebalanceMove& m : moves) EXPECT_EQ(map.OwnerOf(m.pid), m.from);
 }
 

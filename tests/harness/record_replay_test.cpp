@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/build_stamp.h"
 #include "core/replayer.h"
 #include "harness/chaos_harness.h"
 #include "net/codec.h"
@@ -241,7 +240,7 @@ TEST(RecordReplayTest, BundleNamesTheBuildThatRecordedIt) {
   opts.trace_events = false;
   ChaosClusterResult live = RunChaosCluster(opts);
   ASSERT_TRUE(live.exact);
-  const std::string stamp = SourceStamp();
+  const std::string stamp = obs::SourceStamp();
   EXPECT_EQ(stamp.rfind("src-", 0), 0u) << stamp;
   EXPECT_EQ(stamp.size(), 20u) << stamp;
   for (Rank r = 0; r <= opts.cfg.num_slaves + 1; ++r) {

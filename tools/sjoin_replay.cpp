@@ -9,7 +9,7 @@
 //   sjoin_replay --diff <a.sjrec> <b.sjrec>
 //
 // --info and every replay print the build that recorded the bundle and the
-// one running now (common/build_stamp.h); a replay by another build is how
+// one running now (obs::SourceStamp); a replay by another build is how
 // a refactor is checked, so they may differ.
 //
 // Default mode replays the bundle through the real runner and prints a
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "common/build_stamp.h"
 #include "core/replayer.h"
 #include "obs/recording.h"
 
@@ -109,7 +108,7 @@ int Info(const char* path) {
       "retries=%u\n",
       path, rec.manifest.schema, rec.manifest.rank,
       static_cast<unsigned long long>(rec.manifest.membership_epoch),
-      rec.manifest.build_version.c_str(), sjoin::SourceStamp(),
+      rec.manifest.build_version.c_str(), sjoin::obs::SourceStamp(),
       rec.manifest.config_summary.c_str(),
       rec.events.size(), static_cast<unsigned long long>(frames),
       static_cast<unsigned long long>(batches),
@@ -254,7 +253,7 @@ int main(int argc, char** argv) {
   }
   std::printf("sjoin_replay: build: recorded by %s, replayed by %s\n",
               loaded.recording.manifest.build_version.c_str(),
-              sjoin::SourceStamp());
+              sjoin::obs::SourceStamp());
   ReplayResult res = sjoin::ReplayNode(loaded.recording, opts);
   if (!res.ok) {
     std::fprintf(stderr, "sjoin_replay: %s\n", res.error.c_str());
