@@ -35,7 +35,8 @@ constexpr Duration kTd = 5 * kUsPerMs;
 /// How long a case waits for one frame before it fails.
 constexpr auto kFrameWait = std::chrono::seconds(20);
 /// Timeout of one master receive in the cases that let a slave go silent.
-constexpr Duration kShortTimeout = 30 * kUsPerMs;
+/// The slaves that answer get (retries + 1) times it, slack for a slow host.
+constexpr Duration kShortTimeout = 100 * kUsPerMs;
 
 /// One frame the master sent.
 struct Sent {
@@ -680,6 +681,7 @@ class ElasticMasterTest : public MasterProtocolTest {
 TEST_F(ElasticMasterTest, JoinCmdIsResentWithDoublingTimeoutsThenTheVerdict) {
   cfg_.initial_active_slaves = 1;
   wall_.recv_timeout_us = 20 * kUsPerMs;
+  wall_.recv_max_retries = 9;  // slack for slave 1; handshakes never retry
   wall_.membership = {MembershipEvent{2, true, 1}};
   Fill(3);
   Start();
