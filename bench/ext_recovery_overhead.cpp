@@ -44,7 +44,7 @@ using namespace sjoin;
 /// every endpoint is decorated with the (possibly crash-injecting) fault
 /// transport.
 ClusterSummaries RunCluster(const SystemConfig& cfg, const WallOptions& wall,
-                     const FaultConfig& faults) {
+                            const FaultConfig& faults) {
   const Rank n = cfg.num_slaves;
   InProcHub hub(n + 2);
   std::vector<std::unique_ptr<FaultEndpoint>> eps(n + 2);
