@@ -1,7 +1,7 @@
 // Extension: distributed-telemetry cost and yield (ISSUE 8) -- what the
-// end-to-end tuple-delay sampling, the causal trace context, and the flight
-// recorder cost at run time, and what the sampled histograms actually
-// report.
+// end-to-end tuple-delay sampling, the causal trace context, and the trace
+// sink's ring of recent events cost at run time, and what the sampled
+// histograms actually report.
 //
 // A wall-clock mini-cluster (master + 3 slaves + collector over
 // InProcTransport) distributes a fixed trace while the telemetry knobs
@@ -13,8 +13,8 @@
 //     per-group tuple_delay_us histograms the slaves shipped;
 //   * trace_events on at rate 16 -- adds the flow starts/finishes of the
 //     causal batch/stats flows on top of the span events.
-// The flight recorder runs in every configuration (it is always on by
-// design), so its cost is part of every row's wall_ms.
+// The trace sink's ring fills in every configuration (traced or not), so
+// its cost is part of every row's wall_ms.
 //
 // `wall_ms` is real elapsed time of the full cluster run and varies with
 // machine load: the JSON report is marked deterministic=false, so

@@ -54,10 +54,6 @@ void SleepUntil(const WallClock& clock, Time t) {
 /// Effectively-unbounded ProcessFor budget: drain the whole buffer.
 constexpr Duration kDrainBudget = 365LL * 24 * 3600 * kUsPerSec;
 
-/// Capacity (events) of each node's flight-recorder ring of recent
-/// protocol, fault and membership events (obs/flight_recorder.h).
-constexpr std::size_t kFlightRingEvents = 256;
-
 /// One in-progress membership transition (at most one at a time; scheduled
 /// events and policy proposals queue behind it). A join is handshaken first
 /// and then rebalanced toward its share; a leave is drained group-by-group,
@@ -106,7 +102,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
   obs::NodeObs local_obs;
   obs::NodeObs& ob = opts.master_obs != nullptr ? *opts.master_obs : local_obs;
   ob.trace.SetRank(0);
-  ob.flight.SetCapacity(kFlightRingEvents);
   // Every process of a run derives the same 48-bit trace id from the seed
   // (48 so it survives a round trip through a JSON double); it stamps each
   // causal wire frame so per-rank trace files stitch into one distributed
@@ -197,12 +192,10 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     sum.membership_us += clock.Now() - trans->started_wall;
     trans.reset();
   };
-  // A membership milestone naming one slave: a trace instant and a flight
-  // recorder line.
+  // A membership milestone naming one slave: a trace instant.
   auto note_member = [&](const char* kind, SlaveIdx t) {
     ob.trace.Instant(kind, "membership", vt_now,
                      {{"slave", static_cast<std::int64_t>(t) + 1}});
-    ob.flight.Record(vt_now, kind, "slave=" + std::to_string(t + 1));
   };
 
   // Dead-slave verdict: exclude the rank from all subsequent epochs, cancel
@@ -223,9 +216,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     c_dead.Inc();
     ob.trace.Instant("dead_slave", "fault", vt_now,
                      {{"slave", static_cast<std::int64_t>(dead) + 1}});
-    ob.flight.Record(vt_now, "dead_slave",
-                     "slave=" + std::to_string(dead + 1) +
-                         " epoch=" + std::to_string(sum.epochs));
     // A membership transition naming the dead rank is aborted: a joiner's
     // groups were already force-evacuated below like any member's, and a
     // leaver's remaining drain is subsumed by the failover.
@@ -259,10 +249,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
              {"dead", static_cast<std::int64_t>(dead) + 1},
              {"pid", static_cast<std::int64_t>(a.pid)},
              {"replay_from", static_cast<std::int64_t>(a.replay_from)}});
-        ob.flight.Record(vt_now, "failover",
-                         "pid=" + std::to_string(a.pid) + " target=" +
-                             std::to_string(a.target + 1) + " replay_from=" +
-                             std::to_string(a.replay_from));
       }
       // Failover commands first, then the retained batches in ascending
       // epoch order (per-channel FIFO: each target rebuilds every adopted
@@ -298,12 +284,12 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
                                 << survivors.size() << " survivors"
                                 << (repl ? " (buddy failover + replay)" : ""));
     // A crash verdict is exactly the moment post-mortem context matters:
-    // dump the flight ring to the artifact dir (if one is exported) so a
+    // dump the trace ring to the artifact dir (if one is exported) so a
     // failed chaos/CI run leaves the recent protocol history behind.
     obs::WriteArtifact(
         obs::ArtifactKind::kChaos,
         "flight_master_evict_slave" + std::to_string(dead + 1) + ".txt",
-        ob.flight.Dump(), Summarize(cfg));
+        ob.trace.Dump(), Summarize(cfg));
   };
 
   // Checkpoint-ack path (ReplicationLedger::Apply): the ack commits a
@@ -690,9 +676,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
     g_watermark.Set(static_cast<double>(epoch_start));
     ob.trace.Begin("epoch", "epoch", epoch_start,
                    {{"epoch", static_cast<std::int64_t>(sum.epochs)}});
-    ob.flight.Record(vt_now, "epoch",
-                     "epoch=" + std::to_string(sum.epochs) +
-                         " members=" + std::to_string(members.MemberCount()));
     const std::uint64_t tuples_before = sum.tuples_sent;
     // Per-group tuple routing counts of this epoch: the straggler/skew
     // signal. Derived from the arrivals being buffered (deterministic for a
@@ -801,8 +784,6 @@ MasterSummary RunMasterNode(Transport& transport, const SystemConfig& cfg,
       count(sum.ckpt_sweeps, c_sweeps);
       ob.trace.Instant("ckpt_sweep", "repl", vt_now,
                        {{"epoch", static_cast<std::int64_t>(sum.epochs)}});
-      ob.flight.Record(vt_now, "ckpt_sweep",
-                       "epoch=" + std::to_string(sum.epochs));
       ledger.BeginSweep();
       for (SlaveIdx m : members.Members()) {
         CkptCmdMsg cmd;
@@ -938,7 +919,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
           ? *opts.slave_obs[self - 1]
           : local_obs;
   ob.trace.SetRank(self);
-  ob.flight.SetCapacity(kFlightRingEvents);
   // Same seed-derived trace id as the master's: stamps the slave's own
   // causal sends (kResultStats to the collector) for trace stitching.
   const std::uint64_t run_trace_id =
@@ -1232,9 +1212,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
               {{"send_vt", static_cast<std::int64_t>(frame.send_vt)},
                {"epoch", static_cast<std::int64_t>(epochs_done)}});
         }
-        ob.flight.Record(vts, "join_batch",
-                         "epoch=" + std::to_string(epochs_done) +
-                             " tuples=" + std::to_string(done));
         ob.trace.Complete(
             "join_batch", "join", vts, 0,
             {{"epoch", static_cast<std::int64_t>(epochs_done)},
@@ -1424,11 +1401,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
               static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
               {{"pid", static_cast<std::int64_t>(e.partition_id)},
                {"replay_from", static_cast<std::int64_t>(e.replay_from)}});
-          ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                           "group_adopt",
-                           "pid=" + std::to_string(e.partition_id) +
-                               " replay_from=" +
-                               std::to_string(e.replay_from));
         }
         set_replica_gauge();
         break;
@@ -1449,10 +1421,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
             static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
             {{"epoch", static_cast<std::int64_t>(rb.epoch)},
              {"tuples", static_cast<std::int64_t>(rb.recs.size())}});
-        ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                         "replay_processed",
-                         "epoch=" + std::to_string(rb.epoch) + " tuples=" +
-                             std::to_string(rb.recs.size()));
         flush_stats();
         break;
       }
@@ -1469,9 +1437,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
             "member_admit", "membership",
             static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
             {{"admit_epoch", static_cast<std::int64_t>(admit_epoch)}});
-        ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                         "member_admit",
-                         "admit_epoch=" + std::to_string(admit_epoch));
         break;
       }
       case MsgType::kLeaveCmd: {
@@ -1487,8 +1452,6 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
         ob.trace.Instant("member_retire", "membership",
                          static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
                          {{"epoch", static_cast<std::int64_t>(epoch)}});
-        ob.flight.Record(static_cast<Time>(epochs_done) * cfg.epoch.t_dist,
-                         "member_retire", "epoch=" + std::to_string(epoch));
         Writer w;
         Encode(w, LeaveAckMsg{epoch});
         transport.Send(0, Make(MsgType::kLeaveAck, std::move(w)));
@@ -1526,7 +1489,6 @@ CollectorSummary RunCollectorNode(Transport& transport,
   obs::NodeObs local_obs;
   obs::NodeObs& ob = obs != nullptr ? *obs : local_obs;
   ob.trace.SetRank(self);
-  ob.flight.SetCapacity(kFlightRingEvents);
   obs::Counter& c_reports = ob.registry.GetCounter("collector_reports");
   obs::Counter& c_outputs = ob.registry.GetCounter("collector_outputs");
   CollectorSummary sum;
@@ -1590,9 +1552,6 @@ CollectorSummary RunCollectorNode(Transport& transport,
                         {{"send_vt", static_cast<std::int64_t>(fe.send_vt)},
                          {"slave", static_cast<std::int64_t>(fe.from)}});
   }
-  ob.flight.Record(0, "collector_done",
-                   "reports=" + std::to_string(sum.reports) +
-                       " outputs=" + std::to_string(sum.outputs));
   // The collector has no epochs: one recorder row holds the run's totals,
   // so a replay of its bundle has an artifact to match.
   ob.recorder.Snapshot(0, 0, ob.registry);

@@ -290,7 +290,7 @@ SlaveSummary RunSlaveNode(Transport& transport, const SystemConfig& cfg,
                           const WallOptions& opts);
 
 /// Runs the collector until shutdown. `transport.Self()` must be N+1.
-/// When `obs` is given, the collector records its registry/flight events
+/// When `obs` is given, the collector records its registry and trace events
 /// there, snapshots its registry into the recorder once at exit, and
 /// finishes the slaves' stats_flow trace flows (sorted by logical send
 /// time, so the export is deterministic under a seeded run).

@@ -24,9 +24,6 @@ class BModelGenerator {
   /// Draws one skewed value in [0, domain).
   std::uint64_t Next();
 
-  double Bias() const { return b_; }
-  std::uint64_t Domain() const { return domain_; }
-
   /// Number of bisection levels used (enough to resolve the domain).
   std::uint32_t Levels() const { return levels_; }
 

@@ -47,8 +47,6 @@ class ModulatedPoisson {
   /// Next absolute arrival time (strictly increasing).
   Time NextArrival();
 
-  Time CurrentTime() const { return now_; }
-
  private:
   RateSchedule schedule_;
   Pcg32 rng_;

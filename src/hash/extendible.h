@@ -60,7 +60,6 @@ class ExtendibleDirectory {
   }
 
   std::uint32_t GlobalDepth() const { return global_depth_; }
-  std::uint32_t MaxGlobalDepth() const { return max_global_depth_; }
   std::size_t EntryCount() const { return dir_.size(); }
 
   /// Number of distinct buckets.

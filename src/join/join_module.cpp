@@ -246,7 +246,6 @@ Duration JoinModule::FlushMiniGroup(PartitionGroup& group, MiniGroup& mg,
   if (have_key) {
     // NOTE: a split/merge invalidates `mg`; nothing touches it afterwards.
     const std::size_t moved = group.MaybeTune(tune_key);
-    ctx.tuning_moves += moved;
     // obs::Counter is a relaxed atomic: safe from concurrent workers.
     if (obs_tuning_ != nullptr && moved > 0) obs_tuning_->Add(moved);
     c += cost_.MoveCost(moved);
@@ -285,7 +284,6 @@ void JoinModule::FoldStats(const PassCtx& ctx) {
   comparisons_ += ctx.comparisons;
   outputs_ += ctx.outputs;
   processed_ += ctx.processed;
-  tuning_moves_ += ctx.tuning_moves;
 }
 
 std::unique_ptr<PartitionGroup> JoinModule::ExtractGroup(

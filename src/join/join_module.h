@@ -150,7 +150,6 @@ class JoinModule {
   std::uint64_t Comparisons() const { return comparisons_; }
   std::uint64_t Outputs() const { return outputs_; }
   std::uint64_t TuplesProcessed() const { return processed_; }
-  std::uint64_t TuningMoves() const { return tuning_moves_; }
   std::uint64_t Splits() const;
   std::uint64_t Merges() const;
 
@@ -178,7 +177,6 @@ class JoinModule {
     std::uint64_t comparisons = 0;
     std::uint64_t outputs = 0;
     std::uint64_t processed = 0;
-    std::uint64_t tuning_moves = 0;
   };
 
   /// Per-worker staging of match emissions, filed per partition id. The
@@ -293,7 +291,6 @@ class JoinModule {
   std::uint64_t comparisons_ = 0;
   std::uint64_t outputs_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint64_t tuning_moves_ = 0;
   obs::Counter* obs_tuning_ = nullptr;
   obs::HistogramMetric* wall_probe_insert_ = nullptr;  ///< probe/insert stage
   obs::MetricsRegistry* reg_ = nullptr;

@@ -76,9 +76,6 @@ class MultiwayJoinModule {
   /// time `now`; returns the number of composites emitted.
   std::size_t Process(const Rec& rec, Time now);
 
-  std::uint32_t StreamCount() const {
-    return static_cast<std::uint32_t>(windows_.size());
-  }
   std::uint64_t Comparisons() const { return comparisons_; }
   std::uint64_t Composites() const { return composites_; }
   std::size_t WindowTuples() const;

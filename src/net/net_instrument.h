@@ -32,7 +32,6 @@ class NetInstrument {
   /// Idempotent; nullptr detaches. Not thread-safe against concurrent
   /// OnSend/OnRecv -- attach before the node's threads start.
   void Attach(obs::MetricsRegistry* registry);
-  bool Attached() const { return registry_ != nullptr; }
 
   void OnSend(Rank peer, const Message& msg) {
     if (registry_) Count(/*send=*/true, peer, msg);

@@ -102,8 +102,6 @@ class SocketMesh {
   SocketMesh(const SocketMesh&) = delete;
   SocketMesh& operator=(const SocketMesh&) = delete;
 
-  Rank NumRanks() const { return num_ranks_; }
-
   /// In the child process for `self`: claims this rank's endpoint and closes
   /// all other fds of the mesh.
   std::unique_ptr<SocketEndpoint> TakeEndpoint(Rank self);

@@ -51,45 +51,12 @@ std::uint64_t ClusterMetricsView::CounterAt(Rank rank, std::int64_t epoch,
   return 0;
 }
 
-double ClusterMetricsView::GaugeAt(Rank rank, std::int64_t epoch,
-                                   std::string_view name,
-                                   std::string_view labels) const {
-  const std::vector<MetricSample>* samples = Get(rank, epoch);
-  if (!samples) return 0.0;
-  for (const MetricSample& s : *samples) {
-    if (s.kind == MetricKind::kGauge && s.name == name && s.labels == labels) {
-      return s.gauge;
-    }
-  }
-  return 0.0;
-}
-
-const MetricSample* ClusterMetricsView::HistogramAt(
-    Rank rank, std::int64_t epoch, std::string_view name,
-    std::string_view labels) const {
-  const std::vector<MetricSample>* samples = Get(rank, epoch);
-  if (!samples) return nullptr;
-  for (const MetricSample& s : *samples) {
-    if (s.kind == MetricKind::kHistogram && s.name == name &&
-        s.labels == labels) {
-      return &s;
-    }
-  }
-  return nullptr;
-}
-
 std::int64_t ClusterMetricsView::LatestEpoch(Rank rank) const {
   std::int64_t latest = -1;
   for (const auto& [key, _] : table_) {
     if (key.first == rank && key.second > latest) latest = key.second;
   }
   return latest;
-}
-
-std::vector<Rank> ClusterMetricsView::Ranks() const {
-  std::set<Rank> ranks;
-  for (const auto& [key, _] : table_) ranks.insert(key.first);
-  return {ranks.begin(), ranks.end()};
 }
 
 std::vector<std::int64_t> ClusterMetricsView::Epochs(Rank rank) const {

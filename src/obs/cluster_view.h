@@ -56,18 +56,9 @@ class ClusterMetricsView {
   /// 0 when absent (mirrors MetricsRegistry::CounterValue semantics).
   std::uint64_t CounterAt(Rank rank, std::int64_t epoch, std::string_view name,
                           std::string_view labels = "") const;
-  double GaugeAt(Rank rank, std::int64_t epoch, std::string_view name,
-                 std::string_view labels = "") const;
-
-  /// The (rank, epoch) frame's histogram sample, or nullptr when the frame
-  /// or the sample is absent.
-  const MetricSample* HistogramAt(Rank rank, std::int64_t epoch,
-                                  std::string_view name,
-                                  std::string_view labels = "") const;
 
   /// Highest epoch recorded for `rank`, or -1.
   std::int64_t LatestEpoch(Rank rank) const;
-  std::vector<Rank> Ranks() const;
   /// All epochs recorded for `rank`, ascending.
   std::vector<std::int64_t> Epochs(Rank rank) const;
   std::size_t FrameCount() const { return table_.size(); }

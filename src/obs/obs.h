@@ -1,6 +1,7 @@
 // NodeObs: the per-node observability bundle -- one registry (always on),
-// one trace sink (off by default), one per-epoch recorder, and, on the
-// master, the cluster-wide view assembled from kMetrics frames.
+// one trace sink (export off by default; its ring of recent events always
+// on), one per-epoch recorder, and, on the master, the cluster-wide view
+// assembled from kMetrics frames.
 //
 // Runners that are not handed a NodeObs create a private one, so the
 // instrumentation code has no null checks on its hot paths; the harness (or
@@ -8,7 +9,6 @@
 #pragma once
 
 #include "obs/cluster_view.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -17,10 +17,9 @@ namespace sjoin::obs {
 
 struct NodeObs {
   MetricsRegistry registry;
-  TraceSink trace;        ///< disabled unless the owner enables it
+  TraceSink trace;  ///< exports only if the owner enables it
   EpochRecorder recorder;
   ClusterMetricsView cluster;  ///< populated on the master only
-  FlightRecorder flight;  ///< always-on ring of recent protocol events
 };
 
 }  // namespace sjoin::obs

@@ -1,38 +1,12 @@
 #include "obs/profiler.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
+
+#include "common/stats.h"
 
 namespace sjoin::obs {
 
 namespace {
-
-/// Histogram::Quantile over a SnapshotEntry's parallel bucket arrays (the
-/// snapshot stores raw vectors, not a Histogram object). Mirrors
-/// common/stats.cpp exactly, including the empty-leading-bucket q=0 guard.
-double SnapshotQuantile(const SnapshotEntry& e, double q) {
-  if (e.hist_total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  auto target = static_cast<std::uint64_t>(q * static_cast<double>(e.hist_total));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < e.hist_counts.size(); ++i) {
-    cum += e.hist_counts[i];
-    if (cum >= target && cum > 0) {
-      const bool overflow = i >= e.hist_bounds.size();
-      double hi = overflow ? std::numeric_limits<double>::infinity()
-                           : e.hist_bounds[i];
-      double lo = i == 0 ? 0.0 : e.hist_bounds[i - 1];
-      if (std::isinf(hi)) return lo;
-      if (e.hist_counts[i] == 0) return hi;
-      double frac = static_cast<double>(e.hist_counts[i] - (cum - target)) /
-                    static_cast<double>(e.hist_counts[i]);
-      return lo + frac * (hi - lo);
-    }
-  }
-  return e.hist_bounds.empty() ? 0.0 : e.hist_bounds.back();
-}
 
 /// Extracts NAME from the canonical label string "stage=NAME", or
 /// "NAME[wK]" from the per-worker form "stage=NAME,worker=K"; empty when
@@ -86,8 +60,9 @@ std::vector<WallStageSummary> SummarizeWallStages(const MetricsRegistry& reg) {
     s.stage = StageFromLabels(e.labels);
     if (s.stage.empty()) continue;
     s.count = e.hist_total;
-    s.p50_us = SnapshotQuantile(e, 0.50);
-    s.p95_us = SnapshotQuantile(e, 0.95);
+    const Histogram h = Histogram::FromCounts(e.hist_bounds, e.hist_counts);
+    s.p50_us = h.Quantile(0.50);
+    s.p95_us = h.Quantile(0.95);
     out.push_back(std::move(s));
   }
   // Collect() is (name, labels)-sorted, so `out` is already stage-sorted.

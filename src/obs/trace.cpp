@@ -4,89 +4,26 @@
 
 namespace sjoin::obs {
 
-void TraceSink::Emit(TraceEvent ev) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ev.seq = next_seq_++;
-  events_.push_back(std::move(ev));
-}
-
-void TraceSink::Complete(std::string name, std::string cat, Time ts,
-                         Duration dur, TraceArgs args) {
-  if (!enabled_) return;
+void TraceSink::Emit(char ph, std::string name, std::string cat, Time ts,
+                     Duration dur, std::uint64_t id, TraceArgs args) {
   TraceEvent ev;
   ev.name = std::move(name);
   ev.cat = std::move(cat);
-  ev.ph = 'X';
+  ev.ph = ph;
   ev.ts = ts;
   ev.dur = dur;
   ev.pid = rank_;
-  ev.args = std::move(args);
-  Emit(std::move(ev));
-}
-
-void TraceSink::Begin(std::string name, std::string cat, Time ts,
-                      TraceArgs args) {
-  if (!enabled_) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'B';
-  ev.ts = ts;
-  ev.pid = rank_;
-  ev.args = std::move(args);
-  Emit(std::move(ev));
-}
-
-void TraceSink::End(std::string name, std::string cat, Time ts) {
-  if (!enabled_) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'E';
-  ev.ts = ts;
-  ev.pid = rank_;
-  Emit(std::move(ev));
-}
-
-void TraceSink::Instant(std::string name, std::string cat, Time ts,
-                        TraceArgs args) {
-  if (!enabled_) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'i';
-  ev.ts = ts;
-  ev.pid = rank_;
-  ev.args = std::move(args);
-  Emit(std::move(ev));
-}
-
-void TraceSink::FlowStart(std::string name, std::string cat, Time ts,
-                          std::uint64_t id, TraceArgs args) {
-  if (!enabled_) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 's';
-  ev.ts = ts;
-  ev.pid = rank_;
   ev.id = id;
   ev.args = std::move(args);
-  Emit(std::move(ev));
-}
-
-void TraceSink::FlowFinish(std::string name, std::string cat, Time ts,
-                           std::uint64_t id, TraceArgs args) {
-  if (!enabled_) return;
-  TraceEvent ev;
-  ev.name = std::move(name);
-  ev.cat = std::move(cat);
-  ev.ph = 'f';
-  ev.ts = ts;
-  ev.pid = rank_;
-  ev.id = id;
-  ev.args = std::move(args);
-  Emit(std::move(ev));
+  std::lock_guard<std::mutex> lock(mu_);
+  ev.seq = next_seq_++;
+  if (enabled_) events_.push_back(ev);
+  if (ring_.size() < kRingEvents) {
+    ring_.push_back(std::move(ev));
+  } else {
+    ring_[head_] = std::move(ev);
+    head_ = (head_ + 1) % kRingEvents;
+  }
 }
 
 std::uint64_t TraceSink::NextSpanId() {
@@ -102,6 +39,44 @@ std::vector<TraceEvent> TraceSink::Events() const {
 std::size_t TraceSink::EventCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_.size();
+}
+
+std::vector<TraceEvent> TraceSink::Recent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<TraceEvent> out;
+  out.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(head_ + i) % ring_.size()]);
+  }
+  return out;
+}
+
+std::string TraceSink::Dump() const {
+  // One lock for the events and the count, so a concurrent emit cannot skew
+  // the dropped figure against the lines.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out = "flight_recorder: ";
+  out += std::to_string(ring_.size());
+  out += " events retained, ";
+  out += std::to_string(next_seq_ - ring_.size());
+  out += " dropped\n";
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const TraceEvent& ev = ring_[(head_ + i) % ring_.size()];
+    out += "vt=";
+    out += std::to_string(ev.ts);
+    out += " seq=";
+    out += std::to_string(ev.seq);
+    out += ' ';
+    out += ev.name;
+    for (const auto& [k, v] : ev.args) {
+      out += ' ';
+      out += k;
+      out += '=';
+      out += std::to_string(v);
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 std::vector<TraceEvent> MergeTraces(std::span<const TraceSink* const> sinks) {

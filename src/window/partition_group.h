@@ -83,7 +83,6 @@ class PartitionGroup {
   std::size_t MiniGroupCount() const { return dir_.BucketCount(); }
   std::uint64_t Splits() const { return splits_; }
   std::uint64_t Merges() const { return merges_; }
-  bool FineTuning() const { return fine_tuning_; }
   std::size_t TupleBytes() const { return tuple_bytes_; }
   std::size_t BlockCapacity() const { return block_capacity_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace sjoin {
 
@@ -31,6 +32,14 @@ std::unique_ptr<PartitionGroup> DecodeGroupState(Reader& r,
                                                  std::size_t tuple_bytes) {
   auto group = std::make_unique<PartitionGroup>(cfg, tuple_bytes);
   const std::uint32_t buckets = r.GetU32();
+  // Each bucket takes at least its 8-byte pattern, 4-byte depth and one
+  // 8-byte record count per stream, so a corrupt count cannot drive the
+  // reserves below.
+  constexpr std::size_t kMinBucketBytes = 8 + 4 + 8 * kStreamCount;
+  if (buckets > r.Remaining() / kMinBucketBytes) {
+    throw DecodeError("group state bucket count " + std::to_string(buckets) +
+                      " exceeds the remaining bytes");
+  }
 
   struct BucketHeader {
     std::uint64_t pattern;

@@ -296,7 +296,7 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     result.recording.kept = true;
   }
 
-  // Output-diff failure: leave a post-mortem behind. Every rank's flight
+  // Output-diff failure: leave a post-mortem behind. Every rank's trace
   // ring, the stitched distributed trace (when tracing was on), and the
   // record/replay bundles land in the artifact directory CI uploads; a
   // no-op when no artifact env var is set.
@@ -305,7 +305,7 @@ ChaosClusterResult RunChaosCluster(const ChaosClusterOptions& opts) {
     for (Rank r = 0; r < n + 2; ++r) {
       obs::WriteArtifact(obs::ArtifactKind::kChaos,
                          "flight_rank" + std::to_string(r) + ".txt",
-                         result.obs[r]->flight.Dump(), summary);
+                         result.obs[r]->trace.Dump(), summary);
     }
     if (!result.rank_traces.empty()) {
       obs::WriteArtifact(obs::ArtifactKind::kChaos, "stitched_trace.json",

@@ -459,7 +459,7 @@ TEST(ObsChaosTest, ReplicaRecordsGaugeStaysOutOfEpochExports) {
 
 // Flight-recorder acceptance: a chaos run whose output diff fails (a crash
 // without replication loses window state, so outputs go missing) must leave
-// every rank's flight ring and the stitched trace in the artifact
+// every rank's trace ring and the stitched trace in the artifact
 // directory named by SJOIN_ARTIFACT_DIR.
 TEST(ObsChaosTest, OutputDiffFailureDumpsFlightRingsAndStitchedTrace) {
   namespace fs = std::filesystem;
@@ -497,7 +497,14 @@ TEST(ObsChaosTest, OutputDiffFailureDumpsFlightRingsAndStitchedTrace) {
   const std::string master_ring = slurp(dir / "flight_rank0.txt");
   EXPECT_NE(master_ring.find("dead_slave"), std::string::npos);
   EXPECT_NE(master_ring.find("slave=2"), std::string::npos);
-  EXPECT_TRUE(fs::exists(dir / "flight_master_evict_slave2.txt"));
+  // The verdict's own dump names the dead slave; the crashed slave's ring
+  // holds the batches it joined before it went silent.
+  const std::string evict_ring = slurp(dir / "flight_master_evict_slave2.txt");
+  EXPECT_NE(evict_ring.find(" dead_slave slave=2\n"), std::string::npos)
+      << evict_ring;
+  const std::string crashed_ring = slurp(dir / "flight_rank2.txt");
+  EXPECT_NE(crashed_ring.find(" join_batch epoch="), std::string::npos)
+      << crashed_ring;
   const std::string stitched = slurp(dir / "stitched_trace.json");
   ASSERT_FALSE(stitched.empty());
   EXPECT_NE(stitched.find("batch_flow"), std::string::npos);

@@ -113,6 +113,25 @@ TEST(CodecFuzzTest, RandomCorruptionNeverCrashesStateDecode) {
   }
 }
 
+TEST(CodecFuzzTest, StateDecodeRejectsBucketCountBeyondPayload) {
+  // A 4-byte state claiming 2^32 - 1 buckets: each bucket needs at least 28
+  // bytes, so the count is a lie to reject before anything is reserved.
+  JoinConfig jcfg;
+  Writer w;
+  w.PutU32(0xFFFF'FFFFu);
+  Reader r(w.Bytes());
+  EXPECT_THROW((void)DecodeGroupState(r, jcfg, 32), DecodeError);
+  // One bucket's worth of bytes short of the count also fails up front.
+  Writer two;
+  two.PutU32(2);
+  two.PutU64(0);  // pattern
+  two.PutU32(0);  // depth
+  two.PutU64(0);  // stream 0: no records
+  two.PutU64(0);  // stream 1: no records
+  Reader r2(two.Bytes());
+  EXPECT_THROW((void)DecodeGroupState(r2, jcfg, 32), DecodeError);
+}
+
 // ---------------------------------------------------------------------------
 // Replication frames (kCkptCmd / kCheckpoint / kCheckpointAck /
 // kFailoverCmd / kReplayBatch): same contract -- truncation and structural

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,30 @@ TEST(TraceSinkTest, DisabledSinkRecordsNothing) {
   sink.Complete("a", "c", 0, 10);
   sink.Instant("b", "c", 5);
   EXPECT_EQ(sink.EventCount(), 0u);
+}
+
+// Tracing off still keeps the post-mortem: the dump holds the last
+// kRingEvents events, whatever their phase.
+TEST(TraceSinkTest, DisabledSinkDumpHoldsItsLast256Events) {
+  TraceSink sink;
+  sink.SetRank(2);
+  for (std::int64_t i = 0; i < 300; ++i) {
+    sink.Complete("join", "join", i, 1, {{"n", i}});
+  }
+  sink.Instant("dead_slave", "fault", 300, {{"slave", 2}});
+  EXPECT_EQ(sink.EventCount(), 0u);
+  ASSERT_EQ(TraceSink::kRingEvents, 256u);
+  const std::string dump = sink.Dump();
+  EXPECT_TRUE(dump.starts_with("flight_recorder: 256 events retained, "
+                               "45 dropped\n"))
+      << dump.substr(0, 80);
+  EXPECT_EQ(dump.find(" join n=44\n"), std::string::npos);
+  EXPECT_NE(dump.find("\nvt=45 seq=45 join n=45\n"), std::string::npos);
+  EXPECT_TRUE(dump.ends_with("\nvt=300 seq=300 dead_slave slave=2\n"));
+  const std::vector<TraceEvent> recent = sink.Recent();
+  ASSERT_EQ(recent.size(), 256u);
+  EXPECT_EQ(recent.front().seq, 45u);
+  EXPECT_EQ(recent.front().pid, 2u);
 }
 
 TEST(TraceSinkTest, EventsCarryRankAndEmissionSeq) {
